@@ -2,7 +2,8 @@
 """Explore the quotient tower of a triangle group: compute nilpotent
 quotients class by class, refine each lower-central layer into index-p
 steps, and report which intermediate quotients carry the recipe pairs as a
-strongly real Beauville structure.
+strongly real Beauville structure.  Quotients above --sigma-cap are
+decided by the lift path, which certifies or abstains ("not certified").
 
 Example:
     python scripts/explore_tower.py --p 3 --k 1 --class 4
@@ -11,9 +12,9 @@ Example:
 
 import argparse
 
-from bforge.beauville import GenPair, check_strongly_real, paper_structure, recipe_congruence
+from bforge.beauville import paper_structure, quotient_strongly_real, recipe_congruence
 from bforge.families import paper_group_from_nq, refinement_series
-from bforge.groups import induced_automorphism, lower_central_series, quotient_group
+from bforge.groups import lower_central_series, quotient_group
 from bforge.nq import TriangleParams, triangle_quotient
 
 
@@ -54,16 +55,11 @@ def main() -> None:
               f"(all steps index {tp.p}, theta-invariant)")
         for term in series.terms:
             Q, proj = quotient_group(G, term)
-            if Q.order > args.sigma_cap:
-                print(f"  |T/N| = {Q.order}: skipped (above sigma cap)")
-                continue
-            theta_q = induced_automorphism(Q, pg.theta)
-            q1 = GenPair.make(Q, proj(pairs[0].x), proj(pairs[0].y))
-            q2 = GenPair.make(Q, proj(pairs[1].x), proj(pairs[1].y))
-            cert = check_strongly_real(Q, q1, q2, theta_q)
-            verdict = "strongly real" if cert.strongly_real else (
-                "beauville only" if cert.beauville else "not beauville")
-            print(f"  |T/N| = {Q.order:>6}: {verdict}")
+            beauville, strong = quotient_strongly_real(proj, pg.theta, *pairs, args.sigma_cap)
+            lift = Q.order > args.sigma_cap
+            verdict = "strongly real" if strong else (
+                "beauville only" if beauville else "not certified" if lift else "not beauville")
+            print(f"  |T/N| = {Q.order:>6}: {verdict}" + (" (lift)" if lift else ""))
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from .groups import (
     Homomorphism,
     agemo,
     frattini,
+    induced_automorphism,
     lower_central_series,
     quotient_group,
     subgroup_closure,
@@ -64,10 +65,6 @@ def sigma(G: FiniteGroup, x: int, y: int) -> ElementSet:
     return ElementSet(G, mask)
 
 
-def sigma_mask(G: FiniteGroup, x: int, y: int) -> int:
-    return sigma(G, x, y).mask
-
-
 def is_generating_pair(G: FiniteGroup, x: int, y: int) -> bool:
     """Whether <x, y> = G; via the Frattini quotient for p-groups, by closure
     otherwise."""
@@ -77,20 +74,9 @@ def is_generating_pair(G: FiniteGroup, x: int, y: int) -> bool:
     return len(subgroup_closure(G, [x, y])) == G.order
 
 
-def check_beauville(
-    G: FiniteGroup,
-    pair1: GenPair,
-    pair2: GenPair,
-    use_order_fastpath: bool = False,
-) -> BeauvilleCertificate:
-    """Decide Sigma(pair1) ^ Sigma(pair2) = 1 for two generating pairs.
-
-    The default path intersects the full sigma sets.  With
-    use_order_fastpath the element-pair tests whose hypotheses match the
-    order-preservation lemma (o(a) = o(a G') with independent images modulo
-    G') are skipped; soundness of that shortcut is covered by property
-    tests, never assumed by the acceptance suite.
-    """
+def check_beauville(G: FiniteGroup, pair1: GenPair, pair2: GenPair) -> BeauvilleCertificate:
+    """Decide Sigma(pair1) ^ Sigma(pair2) = 1 for two generating pairs by
+    intersecting the full sigma sets."""
     diagnostics = []
     if G.order == 1:
         diagnostics.append("trivial group")
@@ -98,41 +84,11 @@ def check_beauville(
     if not pair1.generating or not pair2.generating:
         diagnostics.append("not generating")
         return BeauvilleCertificate(pair1, pair2, False, None, diagnostics=tuple(diagnostics))
-    if not use_order_fastpath:
-        m1 = sigma_mask(G, pair1.x, pair1.y)
-        m2 = sigma_mask(G, pair2.x, pair2.y)
-        inter = m1 & m2 & ~1
-        if not inter:
-            return BeauvilleCertificate(pair1, pair2, True)
-        witness = (inter & -inter).bit_length() - 1
-        return BeauvilleCertificate(pair1, pair2, False, witness)
-    lcs = lower_central_series(G)
-    derived = lcs.terms[1] if len(lcs.terms) > 1 else G.trivial_set()
-    Q, proj = quotient_group(G, derived)
-    for a in pair1.triple():
-        ua = None
-        for b in pair2.triple():
-            if _orders_preserve_applies(G, Q, proj, a, b):
-                continue
-            if ua is None:
-                ua = G.conjugate_union(a)
-            inter = ua & G.conjugate_union(b) & ~1
-            if inter:
-                witness = (inter & -inter).bit_length() - 1
-                return BeauvilleCertificate(pair1, pair2, False, witness)
-    return BeauvilleCertificate(pair1, pair2, True)
-
-
-def _orders_preserve_applies(G, Q, proj, a: int, b: int) -> bool:
-    """Hypotheses of the order-preservation lemma for the element pair:
-    <a, b> = G, G/G' splits as <aG'> x <bG'>, and one of a, b keeps its
-    order in the quotient."""
-    if not is_generating_pair(G, a, b):
-        return False
-    oa, ob = Q.element_order(proj(a)), Q.element_order(proj(b))
-    if oa * ob != Q.order:
-        return False
-    return G.element_order(a) == oa or G.element_order(b) == ob
+    inter = sigma(G, pair1.x, pair1.y).mask & sigma(G, pair2.x, pair2.y).mask & ~1
+    if not inter:
+        return BeauvilleCertificate(pair1, pair2, True)
+    witness = (inter & -inter).bit_length() - 1
+    return BeauvilleCertificate(pair1, pair2, False, witness)
 
 
 def check_strongly_real(
@@ -149,13 +105,10 @@ def check_strongly_real(
     if not cert.beauville:
         cert.strongly_real = False
         return cert
+    limit = G.order if search_conjugators else 1
     conjugators = []
     for pair in (pair1, pair2):
-        found = None
-        for g in _conjugator_candidates(G, search_conjugators):
-            if _inverts(G, theta, g, pair.x) and _inverts(G, theta, g, pair.y):
-                found = g
-                break
+        found = _find_conjugator(G, theta, pair, limit)
         if found is None:
             cert.strongly_real = False
             cert.diagnostics = cert.diagnostics + ("no conjugator inverts the pair",)
@@ -165,12 +118,6 @@ def check_strongly_real(
     cert.automorphism = theta
     cert.conjugators = (conjugators[0], conjugators[1])
     return cert
-
-
-def _conjugator_candidates(G: FiniteGroup, search: bool):
-    yield 0
-    if search:
-        yield from range(1, G.order)
 
 
 def _inverts(G: FiniteGroup, theta: Homomorphism, g: int, a: int) -> bool:
@@ -359,14 +306,14 @@ def _search_strongly_real_within(G, classes, key_a, key_b, theta):
     invertible_b = []
     for xb, yb in _pairs_with_key(G, key_b):
         pb = GenPair.make(G, xb, yb)
-        gb = _find_conjugator(G, theta, pb)
+        gb = _find_conjugator(G, theta, pb, G.order)
         if gb is not None:
             invertible_b.append((pb, gb))
     if not invertible_b:
         return None
     for xa, ya in _pairs_with_key(G, key_a):
         pa = GenPair.make(G, xa, ya)
-        ga = _find_conjugator(G, theta, pa)
+        ga = _find_conjugator(G, theta, pa, G.order)
         if ga is None:
             continue
         pb, gb = invertible_b[0]
@@ -387,8 +334,9 @@ def _pairs_with_key(G: FiniteGroup, key: frozenset):
                 yield (x, y)
 
 
-def _find_conjugator(G, theta, pair: GenPair) -> Optional[int]:
-    for g in range(G.order):
+def _find_conjugator(G, theta, pair: GenPair, limit: int) -> Optional[int]:
+    """The least g < limit with g theta(a) g^-1 = a^-1 for a in the pair."""
+    for g in range(limit):
         if _inverts(G, theta, g, pair.x) and _inverts(G, theta, g, pair.y):
             return g
     return None
@@ -411,13 +359,13 @@ def check_strongly_real_via_base(
     pair1: GenPair,
     pair2: GenPair,
     theta: Homomorphism,
-    base_weight: int,
 ) -> tuple[bool, "LiftReport"]:
     """Strongly-real certification for quotients too large for sigma sets:
-    project Q onto the base quotient Q/gamma_w, verify the structure there
-    in full, require the first-triple orders to survive the projection (the
-    lifting lemma then certifies Q), and check the inversion conditions
-    directly in Q with trivial conjugators."""
+    project Q onto the base quotient Q/gamma_w (w = 3 for p > 3, else 4),
+    verify the structure there in full, require the first-triple orders to
+    survive the projection (the lifting lemma then certifies Q), and check
+    the inversion conditions directly in Q with trivial conjugators."""
+    base_weight = 3 if Q.prime > 3 else 4
     lcs = lower_central_series(Q)
     idx = min(base_weight - 1, len(lcs.terms) - 1)
     Q2, proj2 = quotient_group(Q, lcs.terms[idx])
@@ -456,3 +404,25 @@ def lift_check(
         if verdict and not direct:
             raise AssertionError("lift lemma certified a non-structure")
     return LiftReport(verdict, qcert.beauville, order_ok, qcert, direct)
+
+
+def quotient_strongly_real(
+    proj: Homomorphism,
+    theta: Homomorphism,
+    pair1: GenPair,
+    pair2: GenPair,
+    sigma_cap: int,
+) -> tuple[bool, bool]:
+    """(Beauville, strongly real) for the images of two pairs of G in the
+    coset quotient Q = proj.target, under the automorphism theta of G
+    induced on Q.  Full sigma sets decide it when |Q| <= sigma_cap; above
+    that the lift path certifies it, and False there means not certified."""
+    Q = proj.target
+    theta_q = induced_automorphism(Q, theta)
+    q1 = GenPair.make(Q, proj(pair1.x), proj(pair1.y))
+    q2 = GenPair.make(Q, proj(pair2.x), proj(pair2.y))
+    if Q.order <= sigma_cap:
+        cert = check_strongly_real(Q, q1, q2, theta_q)
+        return cert.beauville, bool(cert.strongly_real)
+    ok, rep = check_strongly_real_via_base(Q, q1, q2, theta_q)
+    return rep.verdict, ok

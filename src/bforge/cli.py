@@ -14,6 +14,7 @@ import json
 import os
 import re
 import sys
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,17 +25,17 @@ from .beauville import (
     GenPair,
     check_beauville,
     check_strongly_real,
-    check_strongly_real_via_base,
     exhaustive_search,
     paper_structure,
+    quotient_strongly_real,
     recipe_congruence,
+    sigma,
 )
 from .errors import CapExceeded, HomomorphismError, PcpSyntaxError, ShapeError
 from .families import FAMILIES, PaperGroup, build_family, refinement_series, theta_automorphism
 from .groups import (
     PcGroup,
     hom_from_images,
-    induced_automorphism,
     lower_central_series,
     quotient_group,
 )
@@ -137,6 +138,8 @@ def load_group(path: str, cap: int) -> LoadedGroup:
         x, y = of_word(pf.distinguished["x"]), of_word(pf.distinguished["y"])
     elif "a" in pf.images and "b" in pf.images:
         x, y = of_word(pf.images["a"]), of_word(pf.images["b"])
+    elif pf.presentation.ngens < 2:
+        raise ValueError(f"{path}: one pc generator and no distinguished x, y or images a, b")
     else:
         x, y = group.gen_index(0), group.gen_index(1)
     group.mark_generators([x, y])
@@ -191,6 +194,19 @@ def _pres_hash(pg: PaperGroup) -> str:
     return hashlib.sha256(print_presentation(pg.presentation).encode()).hexdigest()
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write through a temp file in the same directory and os.replace, so
+    readers see the old file or the new one, never a partial write."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def group_stats(pg: PaperGroup) -> dict:
     """Order/exponent/class of a group, via the result cache when present."""
     root = cache_dir()
@@ -214,10 +230,10 @@ def group_stats(pg: PaperGroup) -> dict:
         try:
             (root / "stats").mkdir(parents=True, exist_ok=True)
             (root / "groups").mkdir(parents=True, exist_ok=True)
-            (root / "stats" / f"{key}.json").write_text(json.dumps(stats, sort_keys=True))
+            _write_atomic(root / "stats" / f"{key}.json", json.dumps(stats, sort_keys=True))
             gpath = root / "groups" / f"{key}.pcp"
             if not gpath.exists():
-                gpath.write_text(serialize_paper_group(pg))
+                _write_atomic(gpath, serialize_paper_group(pg))
         except OSError:
             pass
     return stats
@@ -237,7 +253,7 @@ def record_sigma_digest(pg: PaperGroup, pair_desc: str, mask: int) -> None:
         if prior is not None and prior != digest:
             print(f"warning: sigma digest changed for {pair_desc}", file=sys.stderr)
         data[pair_desc] = digest
-        path.write_text(json.dumps(data, sort_keys=True))
+        _write_atomic(path, json.dumps(data, sort_keys=True))
     except (OSError, json.JSONDecodeError):
         pass
 
@@ -371,10 +387,8 @@ def cmd_verify(args) -> int:
     else:
         cert = check_beauville(G, pair1, pair2)
         verified = cert.beauville
-    from .beauville import sigma_mask
-
-    record_sigma_digest(pg, pair_desc + " [1]", sigma_mask(G, pair1.x, pair1.y))
-    record_sigma_digest(pg, pair_desc + " [2]", sigma_mask(G, pair2.x, pair2.y))
+    record_sigma_digest(pg, pair_desc + " [1]", sigma(G, pair1.x, pair1.y).mask)
+    record_sigma_digest(pg, pair_desc + " [2]", sigma(G, pair2.x, pair2.y).mask)
     payload = {
         "version": __version__,
         "command": ["verify", pair_desc, f"strong={args.strong}"],
@@ -444,17 +458,9 @@ def cmd_series(args) -> int:
                 "index_over_next": str(series.indices[pos]) if pos < len(series.indices) else None,
             }
             if pairs is not None and args.check_quotients:
-                Q, proj = quotient_group(G, term)
-                theta_q = induced_automorphism(Q, pg.theta)
-                q1 = GenPair.make(Q, proj(pairs[0].x), proj(pairs[0].y))
-                q2 = GenPair.make(Q, proj(pairs[1].x), proj(pairs[1].y))
-                if Q.order <= args.sigma_cap:
-                    cert = check_strongly_real(Q, q1, q2, theta_q)
-                    entry["quotient_strongly_real"] = bool(cert.beauville and cert.strongly_real)
-                else:
-                    base_weight = 3 if pg.p > 3 else 4
-                    ok, _ = check_strongly_real_via_base(Q, q1, q2, theta_q, base_weight)
-                    entry["quotient_strongly_real"] = ok
+                _, proj = quotient_group(G, term)
+                _, strong = quotient_strongly_real(proj, pg.theta, *pairs, args.sigma_cap)
+                entry["quotient_strongly_real"] = strong
             terms_json.append(entry)
     payload = {
         "version": __version__,
@@ -560,7 +566,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (PcpSyntaxError, ShapeError, HomomorphismError, ValueError, FileNotFoundError) as exc:
+    except (PcpSyntaxError, ShapeError, HomomorphismError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

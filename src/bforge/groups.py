@@ -66,12 +66,6 @@ class ElementSet:
     def indices(self) -> Iterator[int]:
         return bit_indices(self.mask)
 
-    def intersect(self, other: "ElementSet") -> "ElementSet":
-        return ElementSet(self.group, self.mask & other.mask)
-
-    def union(self, other: "ElementSet") -> "ElementSet":
-        return ElementSet(self.group, self.mask | other.mask)
-
     def issubset(self, other: "ElementSet") -> bool:
         return self.mask & ~other.mask == 0
 
@@ -255,19 +249,11 @@ class PcGroup(FiniteGroup):
     large groups never need |G|^2 memory.
     """
 
-    def __init__(
-        self,
-        pres: PcPresentation,
-        cap: int = DEFAULT_ORDER_CAP,
-        generators: Optional[list[int]] = None,
-        name: Optional[str] = None,
-        check: bool = True,
-    ):
+    def __init__(self, pres: PcPresentation, cap: int = DEFAULT_ORDER_CAP):
         order = pres.order()
         if order > cap:
             raise CapExceeded(f"group order {order} exceeds cap {cap}")
-        if check:
-            require_consistent(pres)
+        require_consistent(pres)
         n = pres.ngens
         strides = [1] * n
         for i in range(n - 2, -1, -1):
@@ -276,8 +262,7 @@ class PcGroup(FiniteGroup):
         self.collector = Collector(pres)
         self.strides = strides
         self.vecs: list[tuple[int, ...]] = list(itertools.product(*(range(m) for m in pres.orders)))
-        gens = generators if generators is not None else [strides[i] for i in range(n)]
-        super().__init__(order, pres.prime(), gens, name or pres.name)
+        super().__init__(order, pres.prime(), strides, pres.name)
         self._build_gen_step()
         self._table: Optional[np.ndarray] = None
         if order <= TABLE_CAP:
@@ -372,7 +357,7 @@ class PcGroup(FiniteGroup):
 class CosetGroup(FiniteGroup):
     """G/N on canonical coset representatives (minimal element index)."""
 
-    def __init__(self, parent: FiniteGroup, normal: ElementSet, name: Optional[str] = None):
+    def __init__(self, parent: FiniteGroup, normal: ElementSet):
         nmembers = list(normal.indices())
         coset_of = [-1] * parent.order
         reps: list[int] = []
@@ -391,17 +376,9 @@ class CosetGroup(FiniteGroup):
         if order == 1:
             prime = parent.prime
         gens = sorted({coset_of[g] for g in parent.generators})
-        super().__init__(order, prime, gens, name or f"{parent.name}/N{len(normal)}")
-        self._qtable: Optional[np.ndarray] = None
-        ptable = getattr(parent, "_table", None)
-        if order <= TABLE_CAP and ptable is not None:
-            reps_np = np.array(reps)
-            coset_np = np.array(coset_of, dtype=np.uint16)
-            self._qtable = coset_np[ptable[np.ix_(reps_np, reps_np)].astype(np.intp)]
+        super().__init__(order, prime, gens, f"{parent.name}/N{len(normal)}")
 
     def mul(self, a: int, b: int) -> int:
-        if self._qtable is not None:
-            return int(self._qtable[a, b])
         return self.coset_of[self.parent.mul(self.reps[a], self.reps[b])]
 
     def inv(self, a: int) -> int:
@@ -434,18 +411,6 @@ class Homomorphism:
             if fa == 0:
                 mask |= 1 << a
         return ElementSet(self.source, mask, True, True)
-
-    def image_mask(self) -> int:
-        mask = 0
-        for fa in self.full_map:
-            mask |= 1 << fa
-        return mask
-
-    def map_set(self, s: ElementSet) -> ElementSet:
-        mask = 0
-        for a in s.indices():
-            mask |= 1 << self.full_map[a]
-        return ElementSet(self.target, mask)
 
 
 def _spanning_words(G: FiniteGroup, gens: list[int]) -> tuple[list[int], list[int], list[int]]:
@@ -677,12 +642,6 @@ def agemo(G: FiniteGroup, i: int) -> ElementSet:
     return ElementSet(G, mask, True, True, tuple(gens))
 
 
-def enumerate_group(pres: PcPresentation, cap: int = DEFAULT_ORDER_CAP) -> PcGroup:
-    """Enumerate a consistent presentation into a FiniteGroup with order
-    equal to the product of the relative orders; refuses orders beyond cap."""
-    return PcGroup(pres, cap=cap)
-
-
 def quotient_group(G: FiniteGroup, N: ElementSet) -> tuple[CosetGroup, Homomorphism]:
     """Coset group G/N plus the projection; rejects non-normal N."""
     gens = list(N.gens) if N.gens is not None else list(N.indices())
@@ -710,8 +669,6 @@ class QuotientPresentation:
     pres: PcPresentation
     group: "PcGroup"
     to_new: Callable[[int], int]  # parent element index -> induced group index
-    coset: CosetGroup
-    proj: Homomorphism
 
 
 def quotient_pc_presentation(G: PcGroup, N: ElementSet, name: str) -> QuotientPresentation:
@@ -782,4 +739,4 @@ def quotient_pc_presentation(G: PcGroup, N: ElementSet, name: str) -> QuotientPr
                           [gq for (_, gq, _) in kept])
     if len(set(iso.full_map)) != Q.order:
         raise AssertionError("induced presentation is not isomorphic to the coset quotient")
-    return QuotientPresentation(pres, group, to_new_index, Q, proj)
+    return QuotientPresentation(pres, group, to_new_index)

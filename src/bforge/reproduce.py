@@ -11,11 +11,11 @@ from math import comb
 from typing import Callable, Optional
 
 from .beauville import (
-    GenPair,
     check_strongly_real,
     exhaustive_search,
     is_generating_pair,
     paper_structure,
+    quotient_strongly_real,
 )
 from .families import (
     PaperGroup,
@@ -31,7 +31,6 @@ from .groups import (
     PcGroup,
     frattini,
     hom_from_images,
-    induced_automorphism,
     lower_central_series,
     quotient_group,
     subgroup_closure,
@@ -250,6 +249,7 @@ def criterion_7(cache: GroupCache) -> CriterionResult:
     t0 = time.perf_counter()
     details: list[str] = []
     ok = True
+    sigma_cap = 10**4
     for p, k in ((3, 1), (2, 2)):
         tp = TriangleParams(p, k)
         lp = triangle_quotient(tp, 4)
@@ -261,18 +261,8 @@ def criterion_7(cache: GroupCache) -> CriterionResult:
         series = refinement_series(pg, 4)
         for term in series.terms:
             Q, proj = quotient_group(pg.group, term)
-            theta_q = induced_automorphism(Q, pg.theta)
-            q1 = GenPair.make(Q, proj(pairs[0].x), proj(pairs[0].y))
-            q2 = GenPair.make(Q, proj(pairs[1].x), proj(pairs[1].y))
-            if Q.order <= 10**4:
-                cert = check_strongly_real(Q, q1, q2, theta_q)
-                good = bool(cert.beauville and cert.strongly_real)
-                how = "full sigma"
-            else:
-                from .beauville import check_strongly_real_via_base
-
-                good, _ = check_strongly_real_via_base(Q, q1, q2, theta_q, 4)
-                how = "lift"
+            _, good = quotient_strongly_real(proj, pg.theta, *pairs, sigma_cap)
+            how = "full sigma" if Q.order <= sigma_cap else "lift"
             ok = _check(details, ok, good, f"p={p} k={k} |T/N|={Q.order}: strongly real ({how})")
     return CriterionResult(7, "class-4 quotient tower", ok, time.perf_counter() - t0, 900, details)
 

@@ -109,6 +109,10 @@ def test_verify_parse_error_exit_2(workdir, capsys):
     assert main(["verify", "--group", "case_i_5_1.pcp", "--pair1", "x;(y", "--pair2", "x;y"]) == 2
     assert main(["verify", "--group", "case_i_5_1.pcp", "--pair1", "q;y", "--pair2", "x;y"]) == 2
     assert main(["verify", "--group", "missing.pcp", "--pair1", "x;y", "--pair2", "x;y"]) == 2
+    # a directory, and a one-generator group with no marked pair
+    assert main(["verify", "--group", str(workdir), "--pair1", "x;y", "--pair2", "x;y"]) == 2
+    (workdir / "c5.pcp").write_text("pcgroup c5\ngen a order 5\n")
+    assert main(["verify", "--group", "c5.pcp", "--pair1", "a;a", "--pair2", "a;a"]) == 2
 
 
 # -- search ---------------------------------------------------------------------
@@ -211,6 +215,29 @@ def test_cache_population(workdir, capsys):
     cache = workdir / ".bforge"
     assert any(cache.glob("stats/*.json"))
     assert any(cache.glob("groups/*.pcp"))
+
+
+def test_cache_writes_are_atomic(workdir, capsys, monkeypatch):
+    # a cache write that fails at os.replace leaves the earlier file intact
+    # and no temp file behind
+    run(capsys, "construct", "--family", "case-i", "--p", "5", "--k", "1")
+    run(capsys, "verify", "--group", "case_i_5_1.pcp", "--pair1", "x;y", "--pair2", "x*y;y^-1")
+    cache = workdir / ".bforge"
+    (stats,) = cache.glob("stats/*.json")
+    (digests,) = cache.glob("sigma/*.json")
+    stats.write_text(json.dumps({"order": "stale"}))  # forces a rewrite
+    files = sorted(cache.rglob("*"))
+    before = {f: f.read_text() for f in (stats, digests)}
+
+    def fail(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr("bforge.cli.os.replace", fail)
+    code, rep = run(capsys, "verify", "--group", "case_i_5_1.pcp", "--pair1", "x;y", "--pair2", "x;y")
+    assert code == 1 and rep["group"]["order"] == "125"
+    assert {f: f.read_text() for f in (stats, digests)} == before
+    assert all(json.loads(text) for text in before.values())
+    assert sorted(cache.rglob("*")) == files
 
 
 def test_reproduce_only(workdir, capsys):

@@ -102,12 +102,12 @@ def test_product_expansion_fails_without_hypothesis():
     assert any(not product_power_identity(G, pg.x, pg.y, n) for n in range(G.exponent() + 1))
 
 
-def test_enumerate_group_alias():
+def test_pcgroup_order_cap():
     from bforge.errors import CapExceeded
-    from bforge.groups import enumerate_group
+    from bforge.groups import PcGroup
 
     pg = build_case_i(5, 1)
-    G = enumerate_group(pg.presentation)
+    G = PcGroup(pg.presentation)
     assert G.order == 125
     with pytest.raises(CapExceeded):
-        enumerate_group(pg.presentation, cap=100)
+        PcGroup(pg.presentation, cap=100)
