@@ -12,7 +12,7 @@ Example:
 
 import argparse
 
-from bforge.beauville import paper_structure, quotient_strongly_real, recipe_congruence
+from bforge.beauville import paper_structure, quotient_strongly_real, recipe_exponents
 from bforge.families import paper_group_from_nq, refinement_series
 from bforge.groups import lower_central_series, quotient_group
 from bforge.nq import TriangleParams, triangle_quotient
@@ -39,11 +39,7 @@ def main() -> None:
     lcs = lower_central_series(G)
     print(f"lower central orders: {lcs.orders()}")
 
-    n1, n2 = args.n1, args.n2
-    if n1 is None or n2 is None:
-        _, (r1, r2) = recipe_congruence(tp.p)
-        n1 = r1 if n1 is None else n1
-        n2 = r2 if n2 is None else n2
+    n1, n2 = recipe_exponents(tp.p, args.n1, args.n2)
     pairs = paper_structure(pg, n1, n2)
     print(f"pairs: {{x, y}} and {{(xy)^{n1} x, (xy)^{n2} x}} "
           f"(on recipe: {pairs[0].on_recipe})")

@@ -14,7 +14,6 @@ from .groups import (
     FiniteGroup,
     Homomorphism,
     agemo,
-    frattini,
     induced_automorphism,
     lower_central_series,
     quotient_group,
@@ -66,10 +65,10 @@ def sigma(G: FiniteGroup, x: int, y: int) -> ElementSet:
 
 
 def is_generating_pair(G: FiniteGroup, x: int, y: int) -> bool:
-    """Whether <x, y> = G; via the Frattini quotient for p-groups, by closure
-    otherwise."""
-    if G.prime is not None and G.order == len(frattini(G)) * G.prime**2:
-        lines = G.frattini_lines()
+    """Whether <x, y> = G; via the Frattini quotient for 2-generated
+    p-groups, by closure otherwise."""
+    lines = G.frattini_lines()
+    if lines is not None:
         return lines[x] >= 0 and lines[y] >= 0 and lines[x] != lines[y]
     return len(subgroup_closure(G, [x, y])) == G.order
 
@@ -135,6 +134,12 @@ def recipe_congruence(p: int) -> tuple[int, tuple[int, int]]:
     return p, (1, 3)
 
 
+def recipe_exponents(p: int, n1: Optional[int], n2: Optional[int]) -> tuple[int, int]:
+    """(n1, n2) with each value not given taken from the recipe residues."""
+    _, (r1, r2) = recipe_congruence(p)
+    return (r1 if n1 is None else n1, r2 if n2 is None else n2)
+
+
 def paper_structure(pg: PaperGroup, n1: int, n2: int) -> tuple[GenPair, GenPair]:
     """The candidate structure {x, y} and {(xy)^n1 x, (xy)^n2 x}.
 
@@ -188,39 +193,32 @@ class SearchResult:
     generating_pairs: int
     distinct_sigma_sets: int
     sigma_pairs_checked: int
-    exhaustive: bool
 
 
-def _sigma_key(G: FiniteGroup, x: int, y: int, xy: int) -> frozenset:
-    _, class_id, _ = G.conjugacy_data()
-    parts = []
-    for t in (x, y, xy):
-        parts.append(frozenset(class_id[G.pow(t, j)] for j in range(G.element_order(t))))
-    return frozenset(parts)
-
-
-def _enumerate_sigma_classes(
-    G: FiniteGroup,
-) -> tuple[dict[frozenset, tuple[tuple[int, int], int]], int]:
-    """Map sigma-equivalence key -> (canonical pair, sigma mask), plus the
-    count of generating pairs examined.
-
-    Pairs are enumerated in lexicographic element order, so the recorded
-    representative is the lexicographically least pair of its class and the
-    whole procedure is deterministic.
-    """
-    classes: dict[frozenset, tuple[tuple[int, int], int]] = {}
-    total = 0
+def _generating_pairs(G: FiniteGroup):
+    """(x, y, key) for every generating pair in lexicographic order.  The
+    sigma-equivalence key is the set of power classes of x, y and xy:
+    pairs with equal keys have equal sigma sets."""
+    keys = [G.power_classes(a) for a in range(G.order)]
     for x in range(1, G.order):
         for y in range(1, G.order):
-            if not is_generating_pair(G, x, y):
-                continue
-            total += 1
-            xy = G.mul(x, y)
-            key = _sigma_key(G, x, y, xy)
-            if key not in classes:
-                mask = G.conjugate_union(x) | G.conjugate_union(y) | G.conjugate_union(xy)
-                classes[key] = ((x, y), mask)
+            if is_generating_pair(G, x, y):
+                yield x, y, frozenset((keys[x], keys[y], keys[G.mul(x, y)]))
+
+
+def _enumerate_sigma_classes(G: FiniteGroup) -> tuple[dict[frozenset, tuple[int, int]], int]:
+    """Map sigma-equivalence key -> canonical pair, plus the count of
+    generating pairs examined.
+
+    Pairs are enumerated in lexicographic element order, so the canonical
+    pair is the least of its class, the keys are in the order of their
+    pairs, and the whole procedure is deterministic.
+    """
+    classes: dict[frozenset, tuple[int, int]] = {}
+    total = 0
+    for x, y, key in _generating_pairs(G):
+        total += 1
+        classes.setdefault(key, (x, y))
     return classes, total
 
 
@@ -250,30 +248,24 @@ def exhaustive_search(
     if mode == "find-strongly-real" and theta is None:
         raise ValueError("find-strongly-real requires theta")
     classes, total = _enumerate_sigma_classes(G)
-    keys = sorted(classes.keys(), key=lambda k: classes[k][0])
-    masks = [classes[k][1] for k in keys]
-    reps = [classes[k][0] for k in keys]
-    D = len(keys)
-    checked = 0
+    keys = list(classes)
     found: Optional[BeauvilleCertificate] = None
-    hits = _scan_sigma_pairs(masks, jobs)
-    checked = D * (D - 1) // 2
-    for ia, ib in hits:
-        p1 = GenPair.make(G, *reps[ia])
-        p2 = GenPair.make(G, *reps[ib])
+    for ia, ib in _scan_sigma_pairs([sigma(G, *classes[k]).mask for k in keys], jobs):
+        p1 = GenPair.make(G, *classes[keys[ia]])
+        p2 = GenPair.make(G, *classes[keys[ib]])
         cert = check_beauville(G, p1, p2)
         if not cert.beauville:
             raise AssertionError("sigma-class scan disagrees with direct verification")
         if mode == "find-strongly-real":
             cert = check_strongly_real(G, p1, p2, theta, search_conjugators=True)
             if not cert.strongly_real:
-                cert = _search_strongly_real_within(G, classes, keys[ia], keys[ib], theta)
+                cert = _search_strongly_real_within(G, keys[ia], keys[ib], theta)
             if cert is None or not cert.strongly_real:
                 continue
         found = cert
         break
-    exhaustive = found is None
-    return SearchResult(mode, found, total, D, checked, exhaustive)
+    D = len(keys)
+    return SearchResult(mode, found, total, D, D * (D - 1) // 2)
 
 
 def _scan_sigma_pairs(masks: list[int], jobs: int) -> list[tuple[int, int]]:
@@ -300,38 +292,29 @@ def _scan_sigma_pairs(masks: list[int], jobs: int) -> list[tuple[int, int]]:
     return sorted(x for chunk in chunks for x in chunk)
 
 
-def _search_strongly_real_within(G, classes, key_a, key_b, theta):
+def _search_strongly_real_within(G, key_a, key_b, theta):
     """Retry the inversion conditions over all pairs in the two sigma
-    classes (the sigma sets are class invariants, the pairs are not)."""
-    invertible_b = []
-    for xb, yb in _pairs_with_key(G, key_b):
-        pb = GenPair.make(G, xb, yb)
-        gb = _find_conjugator(G, theta, pb, G.order)
-        if gb is not None:
-            invertible_b.append((pb, gb))
-    if not invertible_b:
+    classes (the sigma sets are class invariants, the pairs are not): pair
+    the first invertible pair of each class."""
+    first: dict[frozenset, tuple[GenPair, int]] = {}
+    for x, y, key in _generating_pairs(G):
+        if key in (key_a, key_b) and key not in first:
+            pair = GenPair.make(G, x, y)
+            g = _find_conjugator(G, theta, pair, G.order)
+            if g is not None:
+                first[key] = (pair, g)
+                if len(first) == 2:
+                    break
+    else:
         return None
-    for xa, ya in _pairs_with_key(G, key_a):
-        pa = GenPair.make(G, xa, ya)
-        ga = _find_conjugator(G, theta, pa, G.order)
-        if ga is None:
-            continue
-        pb, gb = invertible_b[0]
-        cert = check_beauville(G, pa, pb)
-        if not cert.beauville:
-            raise AssertionError("sigma keys no longer certify the structure")
-        cert.strongly_real = True
-        cert.automorphism = theta
-        cert.conjugators = (ga, gb)
-        return cert
-    return None
-
-
-def _pairs_with_key(G: FiniteGroup, key: frozenset):
-    for x in range(1, G.order):
-        for y in range(1, G.order):
-            if is_generating_pair(G, x, y) and _sigma_key(G, x, y, G.mul(x, y)) == key:
-                yield (x, y)
+    (pa, ga), (pb, gb) = first[key_a], first[key_b]
+    cert = check_beauville(G, pa, pb)
+    if not cert.beauville:
+        raise AssertionError("sigma keys no longer certify the structure")
+    cert.strongly_real = True
+    cert.automorphism = theta
+    cert.conjugators = (ga, gb)
+    return cert
 
 
 def _find_conjugator(G, theta, pair: GenPair, limit: int) -> Optional[int]:

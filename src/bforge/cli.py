@@ -28,7 +28,7 @@ from .beauville import (
     exhaustive_search,
     paper_structure,
     quotient_strongly_real,
-    recipe_congruence,
+    recipe_exponents,
     sigma,
 )
 from .errors import CapExceeded, HomomorphismError, PcpSyntaxError, ShapeError
@@ -363,11 +363,7 @@ def cmd_verify(args) -> int:
     pg = loaded.pg
     G = pg.group
     if args.paper_structure:
-        n1, n2 = args.n1, args.n2
-        if n1 is None or n2 is None:
-            _, (r1, r2) = recipe_congruence(pg.p)
-            n1 = r1 if n1 is None else n1
-            n2 = r2 if n2 is None else n2
+        n1, n2 = recipe_exponents(pg.p, args.n1, args.n2)
         pair1, pair2 = paper_structure(pg, n1, n2)
         pair_desc = f"paper-structure n1={n1} n2={n2}"
     elif args.pair1 and args.pair2:
@@ -439,11 +435,7 @@ def cmd_series(args) -> int:
     pairs = None
     if pg.family != "abelian" and pg.p:
         try:
-            n1, n2 = args.n1, args.n2
-            if n1 is None or n2 is None:
-                _, (r1, r2) = recipe_congruence(pg.p)
-                n1, n2 = r1, r2
-            pairs = paper_structure(pg, n1, n2)
+            pairs = paper_structure(pg, *recipe_exponents(pg.p, args.n1, args.n2))
         except ValueError:
             pairs = None
     for i in range(lo, hi + 1):

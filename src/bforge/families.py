@@ -17,6 +17,7 @@ from .groups import (
     NormalSeries,
     PcGroup,
     _closure_of_gens,
+    _series_indices,
     hom_from_images,
     is_normal,
     lower_central_series,
@@ -65,7 +66,7 @@ def _finish(family: str, p: int, k: Optional[int], n: Optional[int], pres: PcPre
     return PaperGroup(family, p, k, n, group, x, y, named, theta)
 
 
-def _three_step_presentation(name: str, xy_order: int, zt_order: int) -> tuple:
+def _three_step_presentation(xy_order: int, zt_order: int) -> tuple:
     names = ["x", "y", "z", "t", "w"]
     orders = [xy_order, xy_order, zt_order, zt_order, zt_order]
     comms = {(1, 0): [(2, 1)], (2, 0): [(3, 1)], (2, 1): [(4, 1)]}
@@ -94,7 +95,7 @@ def build_case_ii(k: int, cap: int = DEFAULT_ORDER_CAP) -> PaperGroup:
     if 3 ** (5 * k) > cap:
         raise CapExceeded(f"order 3^{5 * k} exceeds cap {cap}")
     q = 3**k
-    names, orders, comms = _three_step_presentation(f"case_ii_3_{k}", q, q)
+    names, orders, comms = _three_step_presentation(q, q)
     pres = make_presentation(f"case_ii_3_{k}", names, orders, None, comms)
     return _finish("case-ii", 3, k, None, pres)
 
@@ -105,7 +106,7 @@ def build_case_iii(k: int, cap: int = DEFAULT_ORDER_CAP) -> PaperGroup:
         raise ValueError("case-iii requires k >= 2 (q = 2^k must exceed 2)")
     if 2 ** (5 * k - 3) > cap:
         raise CapExceeded(f"order 2^{5 * k - 3} exceeds cap {cap}")
-    names, orders, comms = _three_step_presentation(f"case_iii_2_{k}", 2**k, 2 ** (k - 1))
+    names, orders, comms = _three_step_presentation(2**k, 2 ** (k - 1))
     pres = make_presentation(f"case_iii_2_{k}", names, orders, None, comms)
     return _finish("case-iii", 2, k, None, pres)
 
@@ -254,7 +255,7 @@ def refinement_series(pg: PaperGroup, i: int, check: bool = True) -> NormalSerie
                 raise AssertionError("refinement term is not normal")
             if not inv:
                 raise AssertionError("refinement term is not theta-invariant")
-    indices = tuple(len(a) // len(b) for a, b in zip(terms, terms[1:]))
+    indices = _series_indices(terms)
     if check and any(idx != p for idx in indices):
         raise AssertionError(f"refinement indices {indices} are not all {p}")
     return NormalSeries(G, tuple(terms), indices, tuple(flags))
@@ -278,5 +279,5 @@ def full_refined_series(pg: PaperGroup) -> NormalSeries:
     if len(terms) == 1 or terms[-1].mask != 1:
         terms.append(G.trivial_set())
         flags.append(True)
-    indices = tuple(len(a) // len(b) for a, b in zip(terms, terms[1:]))
+    indices = _series_indices(terms)
     return NormalSeries(G, tuple(terms), indices, tuple(flags))

@@ -29,7 +29,7 @@ from .pc import (
 
 _BYTE_BITS = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
 
-TABLE_CAP = 4096  # full Cayley table is materialized only up to this order
+TABLE_CAP = 1024  # full Cayley table is materialized only up to this order
 DEFAULT_ORDER_CAP = 10**6
 
 
@@ -83,11 +83,12 @@ class FiniteGroup:
         self._order_cache: dict[int, int] = {}
         self._inv_cache: dict[int, int] = {}
         self._classes: Optional[tuple[list[int], list[int], list[int]]] = None
+        self._power_classes: dict[int, frozenset] = {}
         self._conj_union_cache: dict[frozenset, int] = {}
         self._lcs: Optional[NormalSeries] = None
         self._frattini: Optional[ElementSet] = None
         self._exponent: Optional[int] = None
-        self._lines: Optional[list[int]] = None
+        self._lines: Optional[list[int]] = None  # [] once known not to apply
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -194,17 +195,28 @@ class FiniteGroup:
             self._classes = (masks, class_id, reps)
         return self._classes
 
+    def power_classes(self, a: int) -> frozenset:
+        """Ids of the conjugacy classes that <a> meets.  Conjugate elements
+        meet the same classes, so this is computed once per class."""
+        _, class_id, _ = self.conjugacy_data()
+        cid = class_id[a]
+        key = self._power_classes.get(cid)
+        if key is None:
+            ids = {class_id[0]}
+            x = a
+            while x:
+                ids.add(class_id[x])
+                x = self.mul(x, a)
+            key = self._power_classes[cid] = frozenset(ids)
+        return key
+
     def conjugate_union(self, a: int) -> int:
         """Mask of the union of all conjugates of <a>."""
-        masks, class_id, _ = self.conjugacy_data()
-        key = frozenset(class_id[self.pow(a, j)] for j in range(self.element_order(a)))
-        cached = self._conj_union_cache.get(key)
-        if cached is None:
-            cached = 0
-            for cid in key:
-                cached |= masks[cid]
-            self._conj_union_cache[key] = cached
-        return cached
+        key = self.power_classes(a)
+        if key not in self._conj_union_cache:
+            masks, _, _ = self.conjugacy_data()
+            self._conj_union_cache[key] = sum(masks[cid] for cid in key)  # disjoint masks
+        return self._conj_union_cache[key]
 
     def nilpotency_class(self) -> int:
         return len(lower_central_series(self).terms) - 1
@@ -216,15 +228,16 @@ class FiniteGroup:
             raise ValueError("marked elements do not generate the group")
         self.generators = list(gens)
 
-    def frattini_lines(self) -> list[int]:
+    def frattini_lines(self) -> Optional[list[int]]:
         """For a 2-generated p-group: the maximal subgroup ('line' of the
         Frattini quotient) containing each element, -1 inside Phi(G).
-        Two elements generate iff their lines exist and differ."""
+        Two elements generate iff their lines exist and differ.  None for
+        any other group."""
         if self._lines is None:
-            phi = frattini(self)
-            Q, proj = quotient_group(self, phi)
-            if Q.order != self.prime**2:
-                raise ValueError("frattini_lines requires a 2-generated p-group")
+            self._lines = []
+            if self.prime is None or self.order != len(frattini(self)) * self.prime**2:
+                return None
+            Q, proj = quotient_group(self, frattini(self))
             line_of_coset = [-1] * Q.order
             for c in range(1, Q.order):
                 if line_of_coset[c] >= 0:
@@ -238,7 +251,7 @@ class FiniteGroup:
                 for m in members:
                     line_of_coset[m] = lid
             self._lines = [line_of_coset[proj(g)] for g in range(self.order)]
-        return self._lines
+        return self._lines or None
 
 
 class PcGroup(FiniteGroup):
@@ -271,34 +284,24 @@ class PcGroup(FiniteGroup):
     # construction ----------------------------------------------------------
 
     def _build_gen_step(self) -> None:
+        """Right-multiplication tables by g_i^e.  w * g_i keeps w's digits
+        before i, and the rest depend only on w's suffix in G_i = <g_i, ...,
+        g_{n-1}>, the first |G_i| indices: collect there, broadcast."""
         pres = self.presentation
-        n = pres.ngens
-        order = self.order
-        strides = self.strides
         rmul = self.collector._rmul
         steps: list[list[Optional[list[int]]]] = []
-        for i in range(n):
+        for i in range(pres.ngens):
             m = pres.orders[i]
-            step1 = [0] * order
-            if i == n - 1:
-                # last generator is cyclic with trivial tail: rotate low digit
-                for idx in range(order):
-                    e = idx % m
-                    step1[idx] = idx + 1 if e < m - 1 else idx - e
-            else:
-                for idx, v in enumerate(self.vecs):
-                    w = list(v)
-                    rmul(w, i, 1)
-                    s = 0
-                    for st, e in zip(strides, w):
-                        s += st * e
-                    step1[idx] = s
+            size = m * self.strides[i]
+            local = []
+            for v in self.vecs[:size]:
+                w = list(v)
+                rmul(w, i, 1)
+                local.append(self.index_of(w))
+            step1 = [hi + t for hi in range(0, self.order, size) for t in local]
             tabs: list[Optional[list[int]]] = [None, step1]
-            prev = step1
             for _ in range(2, m):
-                cur = [step1[x] for x in prev]
-                tabs.append(cur)
-                prev = cur
+                tabs.append([step1[x] for x in tabs[-1]])  # shares step1's ints
             steps.append(tabs)
         self.gen_step = steps
 

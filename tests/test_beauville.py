@@ -18,8 +18,10 @@ from bforge.beauville import (
     sigma,
 )
 from bforge.errors import CapExceeded
-from bforge.families import build_abelian, build_case_ii, paper_group_from_nq, refinement_series
+from bforge import beauville
+from bforge.families import build_abelian, build_case_ii, build_case_iii, paper_group_from_nq, refinement_series
 from bforge.groups import (
+    hom_from_images,
     lower_central_series,
     normal_closure,
     quotient_group,
@@ -258,10 +260,44 @@ def test_regular_criterion_warns_when_class_not_below_p(g22):
 
 def test_search_negative_proves_none(neg1):
     res = exhaustive_search(neg1.group, "prove-none")
-    assert res.found is None and res.exhaustive
+    assert res.found is None
     assert res.generating_pairs == 3888
     assert res.distinct_sigma_sets == 4
     assert res.sigma_pairs_checked == 6
+
+
+@pytest.mark.parametrize(
+    "build, mode, found, counts",
+    [
+        (lambda: build_abelian(9), "prove-none", False, (3888, 108, 5778)),
+        (lambda: build_case_iii(2), "find-strongly-real", True, (6144, 8, 28)),
+    ],
+    ids=["c9c9-prove-none", "case-iii-2-find-strongly-real"],
+)
+def test_search_counts(build, mode, found, counts):
+    pg = build()
+    res = exhaustive_search(pg.group, mode, theta=pg.theta)
+    assert (res.found is not None) == found
+    assert (res.generating_pairs, res.distinct_sigma_sets, res.sigma_pairs_checked) == counts
+
+
+def test_search_strongly_real_retries_every_hit(c5c5, monkeypatch):
+    # theta swapping x and y inverts only the line <x y^-1>, so no
+    # generating pair is invertible: every Beauville hit goes to the retry
+    # over its two sigma classes, and the search finds nothing
+    G = c5c5.group
+    swap = hom_from_images(G, G, [c5c5.x, c5c5.y], [c5c5.y, c5c5.x])
+    retries = []
+    within = beauville._search_strongly_real_within
+
+    def spy(*args):
+        retries.append(args[1:3])
+        return within(*args)
+
+    monkeypatch.setattr(beauville, "_search_strongly_real_within", spy)
+    res = exhaustive_search(G, "find-strongly-real", theta=swap)
+    assert res.found is None
+    assert len(retries) == 10
 
 
 def test_search_finds_structure_in_c5(c5c5):

@@ -180,6 +180,19 @@ def test_series_case_i_all_quotients_strongly_real(workdir, capsys):
     assert all(t["quotient_strongly_real"] for t in rep["terms"])
 
 
+def test_series_fills_only_the_missing_recipe_exponent(workdir, capsys):
+    # --n1 2 alone takes n2 from the recipe (2 at p = 3): the pair {w, w}
+    # that no quotient carries, not the default recipe pair
+    run(capsys, "construct", "--family", "case-ii", "--k", "1")
+    args = ["series", "--group", "case_ii_3_1.pcp", "--from", "3", "--to", "3"]
+    _, default = run(capsys, *args)
+    _, n1_only = run(capsys, *args, "--n1", "2")
+    _, both = run(capsys, *args, "--n1", "2", "--n2", "2")
+    assert n1_only["determinism_hash"] == both["determinism_hash"]
+    assert n1_only["determinism_hash"] != default["determinism_hash"]
+    assert not any(t["quotient_strongly_real"] for t in n1_only["terms"])
+
+
 def test_series_sigma_cap_forces_lift_path(workdir, capsys):
     run(capsys, "construct", "--family", "case-ii", "--k", "1")
     code, rep = run(

@@ -12,7 +12,7 @@ from oracle import (
 )
 
 from bforge.errors import HomomorphismError
-from bforge.families import build_case_i, build_case_ii
+from bforge.families import build_abelian, build_case_i, build_case_ii
 from bforge.groups import (
     PcGroup,
     agemo,
@@ -89,7 +89,17 @@ def test_mul_agrees_with_and_without_table(g22):
 
 def test_large_group_has_no_table():
     G = build_case_i(5, 2).group
-    assert G._table is None  # 15625 > 4096: multiplication stays on demand
+    assert G._table is None  # 15625 > TABLE_CAP: multiplication stays on demand
+
+
+def test_gen_step_matches_collection(g51, g22, neg1):
+    # the broadcast step tables against collecting vecs[idx] * g_i directly
+    for G in (g51.group, g22.group, neg1.group, build_abelian(6).group):
+        coll = G.collector
+        for i in range(G.presentation.ngens):
+            gi = coll.gen_vec(i)
+            want = [G.index_of(coll.mul(v, gi)) for v in G.vecs]
+            assert G.gen_step[i][1] == want
 
 
 def test_group_invariants_order_and_prime(g51):
@@ -167,6 +177,18 @@ def test_classes_match_brute(neg1):
 
 # -- subgroup machinery ---------------------------------------------------------
 
+
+
+def test_power_classes_match_brute(neg1, g22):
+    # the per-class key: the classes met by <a>, from brute_class of every power
+    for G in (neg1.group, g22.group, build_abelian(6).group):
+        masks, _, _ = G.conjugacy_data()
+        brute = {}
+        for a in range(G.order):
+            powers = [G.pow(a, j) for j in range(brute_order(G, a))]
+            met = {frozenset(brute.setdefault(b, frozenset(brute_class(G, b)))) for b in powers}
+            assert {frozenset(bit_indices(masks[c])) for c in G.power_classes(a)} == met
+            assert set(bit_indices(G.conjugate_union(a))) == set().union(*met)
 
 def test_closure_empty_is_trivial(g51):
     assert subgroup_closure(g51.group, []).mask == 1
