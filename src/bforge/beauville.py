@@ -4,7 +4,7 @@ search / non-existence certification."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import CapExceeded
@@ -107,7 +107,7 @@ def check_strongly_real(
     limit = G.order if search_conjugators else 1
     conjugators = []
     for pair in (pair1, pair2):
-        found = _find_conjugator(G, theta, pair, limit)
+        found = _find_conjugator(G, theta, pair.x, pair.y, limit)
         if found is None:
             cert.strongly_real = False
             cert.diagnostics = cert.diagnostics + ("no conjugator inverts the pair",)
@@ -188,11 +188,16 @@ def regular_beauville_criterion(G: FiniteGroup) -> bool:
 
 @dataclass
 class SearchResult:
-    mode: str
     found: Optional[BeauvilleCertificate]
     generating_pairs: int
     distinct_sigma_sets: int
     sigma_pairs_checked: int
+
+
+def search_cap(mode: str, cap: Optional[int]) -> int:
+    """The largest order exhaustive_search accepts: cap when given, else
+    PROVE_NONE_CAP for prove-none and 10^4 for the other modes."""
+    return cap if cap is not None else (PROVE_NONE_CAP if mode == "prove-none" else 10**4)
 
 
 def _generating_pairs(G: FiniteGroup):
@@ -206,22 +211,6 @@ def _generating_pairs(G: FiniteGroup):
                 yield x, y, frozenset((keys[x], keys[y], keys[G.mul(x, y)]))
 
 
-def _enumerate_sigma_classes(G: FiniteGroup) -> tuple[dict[frozenset, tuple[int, int]], int]:
-    """Map sigma-equivalence key -> canonical pair, plus the count of
-    generating pairs examined.
-
-    Pairs are enumerated in lexicographic element order, so the canonical
-    pair is the least of its class, the keys are in the order of their
-    pairs, and the whole procedure is deterministic.
-    """
-    classes: dict[frozenset, tuple[int, int]] = {}
-    total = 0
-    for x, y, key in _generating_pairs(G):
-        total += 1
-        classes.setdefault(key, (x, y))
-    return classes, total
-
-
 def exhaustive_search(
     G: FiniteGroup,
     mode: str = "find",
@@ -233,39 +222,52 @@ def exhaustive_search(
 
     find: return the first (canonically least) Beauville structure, or none.
     prove-none: check every pair of sigma classes and certify non-existence.
-    find-strongly-real: additionally require the inversion conditions under
-    theta (with conjugator search).
+    find-strongly-real: the same scan over the classes that have a pair
+    inverted under theta by some conjugator, each represented by its least
+    such pair and that pair's least conjugator.
 
-    Soundness rests solely on the sigma-set deduplication: two generating
-    pairs with equal class-multisets have equal sigma sets, and pairs within
-    one class can never form a structure together.
+    One pass over the generating pairs in lexicographic order keys the sigma
+    classes.  Soundness rests solely on that deduplication: pairs with equal
+    keys have equal sigma sets, so two of one class never form a structure.
     """
     if mode not in ("find", "prove-none", "find-strongly-real"):
         raise ValueError(f"unknown mode {mode!r}")
-    limit = cap if cap is not None else (PROVE_NONE_CAP if mode == "prove-none" else 10**4)
+    limit = search_cap(mode, cap)
     if G.order > limit:
         raise CapExceeded(f"order {G.order} exceeds search cap {limit}")
     if mode == "find-strongly-real" and theta is None:
         raise ValueError("find-strongly-real requires theta")
-    classes, total = _enumerate_sigma_classes(G)
-    keys = list(classes)
+    classes: dict[frozenset, tuple[int, int]] = {}
+    total = 0
+    if mode == "find-strongly-real":
+        inverted: dict[frozenset, tuple[int, int, int]] = {}
+        # g theta(a) g^-1 = a^-1 needs theta(a) conjugate to a^-1
+        _, class_id, _ = G.conjugacy_data()
+        flips = [class_id[theta(a)] == class_id[G.inv(a)] for a in range(G.order)]
+        for x, y, key in _generating_pairs(G):
+            total += 1
+            classes.setdefault(key, (x, y))
+            if flips[x] and flips[y] and key not in inverted:
+                g = _find_conjugator(G, theta, x, y, G.order)
+                if g is not None:
+                    inverted[key] = (x, y, g)
+        reps = [inverted[k] for k in classes if k in inverted]
+    else:
+        for x, y, key in _generating_pairs(G):
+            total += 1
+            classes.setdefault(key, (x, y))
+        reps = [(x, y, None) for x, y in classes.values()]
     found: Optional[BeauvilleCertificate] = None
-    for ia, ib in _scan_sigma_pairs([sigma(G, *classes[k]).mask for k in keys], jobs):
-        p1 = GenPair.make(G, *classes[keys[ia]])
-        p2 = GenPair.make(G, *classes[keys[ib]])
-        cert = check_beauville(G, p1, p2)
-        if not cert.beauville:
+    for ia, ib in _scan_sigma_pairs([sigma(G, x, y).mask for x, y, _ in reps], jobs):
+        (x1, y1, g1), (x2, y2, g2) = reps[ia], reps[ib]
+        found = check_beauville(G, GenPair.make(G, x1, y1), GenPair.make(G, x2, y2))
+        if not found.beauville:
             raise AssertionError("sigma-class scan disagrees with direct verification")
-        if mode == "find-strongly-real":
-            cert = check_strongly_real(G, p1, p2, theta, search_conjugators=True)
-            if not cert.strongly_real:
-                cert = _search_strongly_real_within(G, keys[ia], keys[ib], theta)
-            if cert is None or not cert.strongly_real:
-                continue
-        found = cert
+        if g1 is not None:
+            found = replace(found, strongly_real=True, automorphism=theta, conjugators=(g1, g2))
         break
-    D = len(keys)
-    return SearchResult(mode, found, total, D, D * (D - 1) // 2)
+    D = len(classes)
+    return SearchResult(found, total, D, D * (D - 1) // 2)
 
 
 def _scan_sigma_pairs(masks: list[int], jobs: int) -> list[tuple[int, int]]:
@@ -292,35 +294,10 @@ def _scan_sigma_pairs(masks: list[int], jobs: int) -> list[tuple[int, int]]:
     return sorted(x for chunk in chunks for x in chunk)
 
 
-def _search_strongly_real_within(G, key_a, key_b, theta):
-    """Retry the inversion conditions over all pairs in the two sigma
-    classes (the sigma sets are class invariants, the pairs are not): pair
-    the first invertible pair of each class."""
-    first: dict[frozenset, tuple[GenPair, int]] = {}
-    for x, y, key in _generating_pairs(G):
-        if key in (key_a, key_b) and key not in first:
-            pair = GenPair.make(G, x, y)
-            g = _find_conjugator(G, theta, pair, G.order)
-            if g is not None:
-                first[key] = (pair, g)
-                if len(first) == 2:
-                    break
-    else:
-        return None
-    (pa, ga), (pb, gb) = first[key_a], first[key_b]
-    cert = check_beauville(G, pa, pb)
-    if not cert.beauville:
-        raise AssertionError("sigma keys no longer certify the structure")
-    cert.strongly_real = True
-    cert.automorphism = theta
-    cert.conjugators = (ga, gb)
-    return cert
-
-
-def _find_conjugator(G, theta, pair: GenPair, limit: int) -> Optional[int]:
-    """The least g < limit with g theta(a) g^-1 = a^-1 for a in the pair."""
+def _find_conjugator(G, theta, x: int, y: int, limit: int) -> Optional[int]:
+    """The least g < limit with g theta(a) g^-1 = a^-1 for a in {x, y}."""
     for g in range(limit):
-        if _inverts(G, theta, g, pair.x) and _inverts(G, theta, g, pair.y):
+        if _inverts(G, theta, g, x) and _inverts(G, theta, g, y):
             return g
     return None
 

@@ -29,6 +29,7 @@ from .beauville import (
     paper_structure,
     quotient_strongly_real,
     recipe_exponents,
+    search_cap,
     sigma,
 )
 from .errors import CapExceeded, HomomorphismError, PcpSyntaxError, ShapeError
@@ -399,7 +400,8 @@ def cmd_verify(args) -> int:
 
 def cmd_search(args) -> int:
     t0 = time.perf_counter()
-    loaded = load_group(args.group, cap=10**6)
+    # refuse an input over the search cap before enumerating it
+    loaded = load_group(args.group, cap=min(search_cap(args.mode, args.max_order), 10**6))
     pg = loaded.pg
     theta = pg.theta if args.mode == "find-strongly-real" else None
     res = exhaustive_search(pg.group, args.mode, theta=theta, cap=args.max_order, jobs=args.jobs)

@@ -400,8 +400,6 @@ class Homomorphism:
 
     source: FiniteGroup
     target: FiniteGroup
-    gen_domain: tuple[int, ...]
-    gen_images: tuple[int, ...]
     full_map: tuple[int, ...]
     is_automorphism: bool = False
 
@@ -489,7 +487,7 @@ def hom_from_images(
     if len(subgroup_closure(H, images)) != H.order:
         raise HomomorphismError("not surjective: images do not generate the target")
     bijective = H.order == G.order and len(set(fmap)) == G.order
-    return Homomorphism(G, H, tuple(gens), tuple(images), tuple(fmap), H is G and bijective)
+    return Homomorphism(G, H, tuple(fmap), H is G and bijective)
 
 
 def induced_automorphism(Q: CosetGroup, phi: Homomorphism) -> Homomorphism:
@@ -508,9 +506,7 @@ def induced_automorphism(Q: CosetGroup, phi: Homomorphism) -> Homomorphism:
         if not nmask >> phi(h) & 1:
             raise HomomorphismError("automorphism does not preserve the kernel")
     fmap = tuple(Q.coset_of[phi(Q.reps[q])] for q in range(Q.order))
-    gen_dom = tuple(Q.generators)
-    gen_img = tuple(fmap[g] for g in gen_dom)
-    return Homomorphism(Q, Q, gen_dom, gen_img, fmap, True)
+    return Homomorphism(Q, Q, fmap, True)
 
 
 # -- subgroup machinery ------------------------------------------------------
@@ -656,9 +652,7 @@ def quotient_group(G: FiniteGroup, N: ElementSet) -> tuple[CosetGroup, Homomorph
     if not is_normal(G, N):
         raise ValueError("N is not normal")
     Q = CosetGroup(G, N)
-    gen_dom = tuple(G.generators)
-    proj = Homomorphism(G, Q, gen_dom, tuple(Q.coset_of[g] for g in gen_dom), tuple(Q.coset_of))
-    return Q, proj
+    return Q, Homomorphism(G, Q, tuple(Q.coset_of))
 
 
 # -- induced pc presentation for quotients -----------------------------------

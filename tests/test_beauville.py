@@ -18,8 +18,15 @@ from bforge.beauville import (
     sigma,
 )
 from bforge.errors import CapExceeded
-from bforge import beauville
-from bforge.families import build_abelian, build_case_ii, build_case_iii, paper_group_from_nq, refinement_series
+from bforge.families import (
+    build_abelian,
+    build_case_i,
+    build_case_ii,
+    build_case_iii,
+    build_negative,
+    paper_group_from_nq,
+    refinement_series,
+)
 from bforge.groups import (
     hom_from_images,
     lower_central_series,
@@ -281,23 +288,71 @@ def test_search_counts(build, mode, found, counts):
     assert (res.generating_pairs, res.distinct_sigma_sets, res.sigma_pairs_checked) == counts
 
 
-def test_search_strongly_real_retries_every_hit(c5c5, monkeypatch):
-    # theta swapping x and y inverts only the line <x y^-1>, so no
-    # generating pair is invertible: every Beauville hit goes to the retry
-    # over its two sigma classes, and the search finds nothing
-    G = c5c5.group
-    swap = hom_from_images(G, G, [c5c5.x, c5c5.y], [c5c5.y, c5c5.x])
-    retries = []
-    within = beauville._search_strongly_real_within
+def _swap(pg):
+    return hom_from_images(pg.group, pg.group, [pg.x, pg.y], [pg.y, pg.x])
 
-    def spy(*args):
-        retries.append(args[1:3])
-        return within(*args)
 
-    monkeypatch.setattr(beauville, "_search_strongly_real_within", spy)
-    res = exhaustive_search(G, "find-strongly-real", theta=swap)
+@pytest.mark.parametrize(
+    "n, counts",
+    [(5, (480, 20, 190)), (7, (2016, 56, 1540)), (13, (26208, 364, 66066))],
+    ids=["c5c5", "c7c7", "c13c13"],
+)
+def test_search_strongly_real_swap_theta_finds_none(n, counts):
+    # theta swapping x and y inverts only the line <x y^-1>, which holds no
+    # generating pair, so no sigma class is scanned; the counts still cover
+    # every class
+    pg = build_abelian(n)
+    res = exhaustive_search(pg.group, "find-strongly-real", theta=_swap(pg))
     assert res.found is None
-    assert len(retries) == 10
+    assert (res.generating_pairs, res.distinct_sigma_sets, res.sigma_pairs_checked) == counts
+
+
+def _twisted(pg, u, v):
+    # alpha theta alpha^-1 for the automorphism alpha: x -> u, y -> v
+    G = pg.group
+    alpha = hom_from_images(G, G, [pg.x, pg.y], [u, v])
+    back = {fa: a for a, fa in enumerate(alpha.full_map)}
+    images = [alpha(pg.theta(back[g])) for g in (pg.x, pg.y)]
+    return hom_from_images(G, G, [pg.x, pg.y], images)
+
+
+@pytest.mark.parametrize(
+    "build, make_theta, triples, conjugators",
+    [
+        (lambda: build_case_iii(2), lambda pg: pg.theta, ((8, 32, 44), (48, 56, 73)), (0, 32)),
+        (lambda: build_case_iii(2), lambda pg: _twisted(pg, 10, 106), ((8, 32, 44), (48, 56, 73)), (8, 40)),
+        (lambda: build_case_iii(2), _swap, None, None),
+        (lambda: build_case_i(5, 1), lambda pg: pg.theta, ((5, 25, 31), (35, 45, 57)), (0, 25)),
+        (lambda: build_case_i(5, 1), _swap, None, None),
+        (lambda: build_case_ii(1), lambda pg: pg.theta, ((27, 81, 117), (30, 136, 93)), (0, 27)),
+        (lambda: build_case_ii(1), _swap, None, None),
+        (lambda: build_abelian(5), lambda pg: pg.theta, ((1, 5, 6), (7, 9, 11)), (0, 0)),
+        (lambda: build_negative(1), lambda pg: pg.theta, None, None),
+        (lambda: build_negative(1), _swap, None, None),
+        (lambda: build_abelian(9), lambda pg: pg.theta, None, None),
+        (lambda: build_abelian(9), _swap, None, None),
+    ],
+    ids=[
+        "case-iii-2", "case-iii-2-twisted", "case-iii-2-swap", "case-i-5-1", "case-i-5-1-swap",
+        "case-ii-1", "case-ii-1-swap", "c5c5", "neg1", "neg1-swap", "c9c9", "c9c9-swap",
+    ],
+)
+def test_search_strongly_real_certificates(build, make_theta, triples, conjugators):
+    # the certificates the search returned when it still retried each hit
+    # over all pairs of its two classes
+    pg = build()
+    theta = make_theta(pg)
+    res = exhaustive_search(pg.group, "find-strongly-real", theta=theta)
+    if triples is None:
+        assert res.found is None
+        return
+    cert = res.found
+    assert (cert.pair1.triple(), cert.pair2.triple()) == triples
+    assert cert.conjugators == conjugators
+    assert cert.beauville and cert.strongly_real and cert.automorphism is theta
+    assert cert.intersection_witness is None and cert.diagnostics == ()
+    direct = check_strongly_real(pg.group, cert.pair1, cert.pair2, theta, search_conjugators=True)
+    assert direct.strongly_real and direct.conjugators == conjugators
 
 
 def test_search_finds_structure_in_c5(c5c5):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from bforge.cli import evaluate_word, main
+from bforge.groups import PcGroup
 from bforge.pc import parse_pcp, print_pcp
 
 
@@ -147,6 +148,20 @@ def test_search_cap_exit_3(workdir, capsys):
     assert main(["search", "--group", "case_ii_3_1.pcp", "--mode", "prove-none", "--max-order", "100"]) == 3
 
 
+def test_search_cap_checked_before_enumeration(workdir, capsys, monkeypatch):
+    # the order-59049 group is over every default search cap: each mode
+    # exits 3 without building the group's step tables
+    run(capsys, "construct", "--family", "case-ii", "--k", "2")
+
+    def fail(self):
+        raise AssertionError("enumerated an input over the search cap")
+
+    monkeypatch.setattr(PcGroup, "_build_gen_step", fail)
+    for mode in ("find", "prove-none", "find-strongly-real"):
+        assert main(["search", "--group", "case_ii_3_2.pcp", "--mode", mode]) == 3
+    assert main(["search", "--group", "case_ii_3_2.pcp", "--mode", "find", "--max-order", "59048"]) == 3
+
+
 def test_search_jobs(workdir, capsys):
     run(capsys, "construct", "--family", "abelian", "--n", "7")
     code1, rep1 = run(capsys, "search", "--group", "abelian_7.pcp", "--mode", "find", "--jobs", "1")
@@ -221,6 +236,35 @@ def test_report_schema_and_determinism(workdir, capsys):
     stripped1 = {k: v for k, v in rep1.items() if k != "elapsed_ms"}
     stripped2 = {k: v for k, v in rep2.items() if k != "elapsed_ms"}
     assert stripped1 == stripped2
+
+
+# (argv, exit code, determinism_hash); the hash covers the whole report
+# except timing, so any change to a verdict, a certificate, a count or
+# __version__ shows here
+_GOLDEN = [
+    ("construct --family case-iii --k 2", 0, "b9d799e8ca01195d9c6017170c0912e2265e8e04278cad69de27eb5d7e51db6c"),
+    ("construct --family case-i --p 5 --k 1", 0, "52dfdc60ce2b9a59e637b863727a5714699d2b91363467e46c004252dd5a8ec7"),
+    ("construct --family case-ii --k 1", 0, "144436e47fb39db54c9e4b6d2404bbafe935081d1fc9edbcd12ea1331bdac36c"),
+    ("verify --group case_i_5_1.pcp --paper-structure --strong", 0,
+     "4d55942fae964433e02b7ab93d3481ec16ccdfae7ac6bfca5125cd3128064f86"),
+    ("series --group case_ii_3_1.pcp", 0, "3bf0679f2d2f80dd77d0ca8e47975ac8c901f0acc0022b2be53f2aba9776fc90"),
+    ("series --group case_ii_3_1.pcp --sigma-cap 10", 0,
+     "3bf0679f2d2f80dd77d0ca8e47975ac8c901f0acc0022b2be53f2aba9776fc90"),
+    ("search --group case_iii_2_2.pcp --mode find", 0,
+     "4fe370ee2899a3571b33ace0e4ab31809cc8f4b7ba5fe0952d4393844f4b83d8"),
+    ("search --group case_iii_2_2.pcp --mode prove-none", 1,
+     "99d2054f57b8a43393a520d6d309b6c1cc86d7d9efbc08ffcec6092fdb7082f2"),
+    ("search --group case_iii_2_2.pcp --mode find-strongly-real", 0,
+     "0cd21bd1c8b11ba44d3d6d2f14877de51dbbd8e890969234ac85d4454be00b1f"),
+]
+
+
+def test_report_hashes_are_pinned(workdir, capsys):
+    got = []
+    for argv, _, _ in _GOLDEN:
+        code, rep = run(capsys, *argv.split())
+        got.append((argv, code, rep["determinism_hash"]))
+    assert got == _GOLDEN
 
 
 def test_cache_population(workdir, capsys):
