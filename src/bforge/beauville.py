@@ -205,10 +205,23 @@ def _generating_pairs(G: FiniteGroup):
     sigma-equivalence key is the set of power classes of x, y and xy:
     pairs with equal keys have equal sigma sets."""
     keys = [G.power_classes(a) for a in range(G.order)]
+    lines = G.frattini_lines()
+    if lines is None:  # not a 2-generated p-group: a closure per pair
+
+        def partners(x: int):
+            return (y for y in range(1, G.order) if is_generating_pair(G, x, y))
+    else:  # x and y generate iff their Frattini lines exist and differ
+        by_line = {
+            line: [y for y, ly in enumerate(lines) if ly >= 0 and ly != line] if line >= 0 else []
+            for line in set(lines)
+        }
+
+        def partners(x: int):
+            return by_line[lines[x]]
+
     for x in range(1, G.order):
-        for y in range(1, G.order):
-            if is_generating_pair(G, x, y):
-                yield x, y, frozenset((keys[x], keys[y], keys[G.mul(x, y)]))
+        for y in partners(x):
+            yield x, y, frozenset((keys[x], keys[y], keys[G.mul(x, y)]))
 
 
 def exhaustive_search(
@@ -216,7 +229,6 @@ def exhaustive_search(
     mode: str = "find",
     theta: Optional[Homomorphism] = None,
     cap: Optional[int] = None,
-    jobs: int = 1,
 ) -> SearchResult:
     """Search all generating pairs up to sigma-equivalence.
 
@@ -258,40 +270,26 @@ def exhaustive_search(
             classes.setdefault(key, (x, y))
         reps = [(x, y, None) for x, y in classes.values()]
     found: Optional[BeauvilleCertificate] = None
-    for ia, ib in _scan_sigma_pairs([sigma(G, x, y).mask for x, y, _ in reps], jobs):
-        (x1, y1, g1), (x2, y2, g2) = reps[ia], reps[ib]
+    hit = _first_disjoint_pair([sigma(G, x, y).mask for x, y, _ in reps])
+    if hit is not None:
+        (x1, y1, g1), (x2, y2, g2) = reps[hit[0]], reps[hit[1]]
         found = check_beauville(G, GenPair.make(G, x1, y1), GenPair.make(G, x2, y2))
         if not found.beauville:
             raise AssertionError("sigma-class scan disagrees with direct verification")
         if g1 is not None:
             found = replace(found, strongly_real=True, automorphism=theta, conjugators=(g1, g2))
-        break
     D = len(classes)
     return SearchResult(found, total, D, D * (D - 1) // 2)
 
 
-def _scan_sigma_pairs(masks: list[int], jobs: int) -> list[tuple[int, int]]:
-    """All index pairs whose sigma masks intersect trivially, in canonical
-    order; partitioned across threads when jobs > 1 and merged canonically."""
-    D = len(masks)
-
-    def scan(lo: int, hi: int) -> list[tuple[int, int]]:
-        out = []
-        for i in range(lo, hi):
-            mi = masks[i]
-            for j in range(i + 1, D):
-                if mi & masks[j] == 1:
-                    out.append((i, j))
-        return out
-
-    if jobs <= 1 or D < 4:
-        return scan(0, D)
-    from concurrent.futures import ThreadPoolExecutor
-
-    bounds = [round(t * D / jobs) for t in range(jobs + 1)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        chunks = list(pool.map(lambda se: scan(*se), zip(bounds, bounds[1:])))
-    return sorted(x for chunk in chunks for x in chunk)
+def _first_disjoint_pair(masks: list[int]) -> Optional[tuple[int, int]]:
+    """The canonically least index pair whose sigma masks meet only in the
+    identity, or None."""
+    for i, mi in enumerate(masks):
+        for j in range(i + 1, len(masks)):
+            if mi & masks[j] == 1:
+                return i, j
+    return None
 
 
 def _find_conjugator(G, theta, x: int, y: int, limit: int) -> Optional[int]:

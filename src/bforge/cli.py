@@ -146,6 +146,9 @@ def load_group(path: str, cap: int) -> LoadedGroup:
     group.mark_generators([x, y])
     if pf.theta:
         n = pf.presentation.ngens
+        missing = [nm for nm in pf.presentation.names if nm not in pf.theta]
+        if missing:
+            raise ValueError(f"{path}: theta stanza has no image for {', '.join(missing)}")
         theta = hom_from_images(
             group,
             group,
@@ -404,7 +407,7 @@ def cmd_search(args) -> int:
     loaded = load_group(args.group, cap=min(search_cap(args.mode, args.max_order), 10**6))
     pg = loaded.pg
     theta = pg.theta if args.mode == "find-strongly-real" else None
-    res = exhaustive_search(pg.group, args.mode, theta=theta, cap=args.max_order, jobs=args.jobs)
+    res = exhaustive_search(pg.group, args.mode, theta=theta, cap=args.max_order)
     payload = {
         "version": __version__,
         "command": ["search", args.mode, f"jobs={args.jobs}"],
@@ -469,10 +472,13 @@ def cmd_series(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    from .reproduce import run_criteria
+    from .reproduce import CRITERIA, run_criteria
 
     t0 = time.perf_counter()
     only = [int(x) for x in args.only.split(",")] if args.only else None
+    unknown = [k for k in only or () if not 1 <= k <= len(CRITERIA)]
+    if unknown:
+        raise ValueError(f"no criterion {unknown[0]}; criteria are 1..{len(CRITERIA)}")
     results = run_criteria(only)
     for r in results:
         print(r.line(), file=sys.stderr)
@@ -531,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("search", help="exhaustive structure search / non-existence certification")
     c.add_argument("--group", required=True)
     c.add_argument("--mode", required=True, choices=["find", "prove-none", "find-strongly-real"])
-    c.add_argument("--jobs", type=int, default=1)
+    c.add_argument("--jobs", type=int, default=1, help="ignored; the search runs in one thread")
     c.add_argument("--max-order", type=int, default=None)
     c.set_defaults(fn=cmd_search)
 
@@ -541,7 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--to", dest="to_weight", type=int)
     c.add_argument("--n1", type=int)
     c.add_argument("--n2", type=int)
-    c.add_argument("--check-quotients", action="store_true", default=True)
     c.add_argument("--no-check-quotients", dest="check_quotients", action="store_false")
     c.add_argument("--sigma-cap", type=int, default=10**4)
     c.add_argument("--max-order", type=int, default=10**6)

@@ -15,8 +15,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
-import numpy as np
-
 from .errors import CapExceeded, HomomorphismError
 from .pc import (
     Collector,
@@ -29,7 +27,9 @@ from .pc import (
 
 _BYTE_BITS = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
 
-TABLE_CAP = 1024  # full Cayley table is materialized only up to this order
+# Not used by bforge itself; the benchmark tracer reads it for its
+# groups.pcgroup_build.over_table_cap counter.
+TABLE_CAP = 1024
 DEFAULT_ORDER_CAP = 10**6
 
 
@@ -257,9 +257,9 @@ class FiniteGroup:
 class PcGroup(FiniteGroup):
     """Group enumerated from a consistent pc presentation.
 
-    Right-multiplication tables by generator powers back all arithmetic; the
-    full Cayley table is materialized only for order <= TABLE_CAP so that
-    large groups never need |G|^2 memory.
+    Right-multiplication tables by generator powers back all arithmetic:
+    a * b walks a through the tables of b's normal-form digits, listed once
+    per element, so memory stays linear in |G| at every order.
     """
 
     def __init__(self, pres: PcPresentation, cap: int = DEFAULT_ORDER_CAP):
@@ -274,28 +274,28 @@ class PcGroup(FiniteGroup):
         self.presentation = pres
         self.collector = Collector(pres)
         self.strides = strides
-        self.vecs: list[tuple[int, ...]] = list(itertools.product(*(range(m) for m in pres.orders)))
         super().__init__(order, pres.prime(), strides, pres.name)
         self._build_gen_step()
-        self._table: Optional[np.ndarray] = None
-        if order <= TABLE_CAP:
-            self._build_table()
 
     # construction ----------------------------------------------------------
 
     def _build_gen_step(self) -> None:
-        """Right-multiplication tables by g_i^e.  w * g_i keeps w's digits
-        before i, and the rest depend only on w's suffix in G_i = <g_i, ...,
-        g_{n-1}>, the first |G_i| indices: collect there, broadcast."""
+        """Right-multiplication tables by g_i^e, and each element's walk.
+
+        w * g_i keeps w's digits before i, and the rest depend only on w's
+        suffix in G_i = <g_i, ..., g_{n-1}>, the first |G_i| indices: collect
+        there, broadcast.  walks[b] lists the tables gen_step[i][e] of b's
+        nonzero digits e, in order."""
         pres = self.presentation
         rmul = self.collector._rmul
         steps: list[list[Optional[list[int]]]] = []
+        walks: list[tuple[list[int], ...]] = [()]
         for i in range(pres.ngens):
             m = pres.orders[i]
             size = m * self.strides[i]
             local = []
-            for v in self.vecs[:size]:
-                w = list(v)
+            for v in itertools.product(*(range(mj) for mj in pres.orders[i:])):
+                w = [0] * i + list(v)
                 rmul(w, i, 1)
                 local.append(self.index_of(w))
             step1 = [hi + t for hi in range(0, self.order, size) for t in local]
@@ -303,39 +303,28 @@ class PcGroup(FiniteGroup):
             for _ in range(2, m):
                 tabs.append([step1[x] for x in tabs[-1]])  # shares step1's ints
             steps.append(tabs)
+            digit = ((),) + tuple((t,) for t in tabs[1:])
+            walks = [w + d for w in walks for d in digit]  # lexicographic = index order
         self.gen_step = steps
-
-    def _build_table(self) -> None:
-        order = self.order
-        n = self.presentation.ngens
-        steps_np = [np.array(self.gen_step[i][1], dtype=np.uint16) for i in range(n)]
-        table = np.empty((order, order), dtype=np.uint16)
-        table[:, 0] = np.arange(order, dtype=np.uint16)
-        for idx in range(1, order):
-            v = self.vecs[idx]
-            last = max(i for i in range(n) if v[i])
-            parent = idx - self.strides[last]
-            table[:, idx] = steps_np[last][table[:, parent]]
-        self._table = table
+        self.walks = walks
 
     # arithmetic -------------------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        if self._table is not None:
-            return int(self._table[a, b])
-        x = a
-        step = self.gen_step
-        for i, e in enumerate(self.vecs[b]):
-            if e:
-                x = step[i][e][x]
-        return x
+        for step in self.walks[b]:
+            a = step[a]
+        return a
 
     def inv(self, a: int) -> int:
         cached = self._inv_cache.get(a)
         if cached is None:
-            cached = self.index_of(self.collector.inv(self.vecs[a]))
+            cached = self.index_of(self.collector.inv(self.vec(a)))
             self._inv_cache[a] = cached
         return cached
+
+    def vec(self, a: int) -> tuple[int, ...]:
+        """Normal-form exponent vector of element a (its mixed-radix digits)."""
+        return tuple(a // st % m for st, m in zip(self.strides, self.presentation.orders))
 
     def index_of(self, vec: tuple[int, ...]) -> int:
         s = 0
@@ -351,7 +340,7 @@ class PcGroup(FiniteGroup):
         return self.index_of(self.collector.collect(word))
 
     def word_of(self, a: int) -> Word:
-        return tuple((i, e) for i, e in enumerate(self.vecs[a]) if e)
+        return tuple((i, e) for i, e in enumerate(self.vec(a)) if e)
 
     def element_name(self, a: int) -> str:
         return format_word(self.word_of(a), self.presentation.names)

@@ -382,17 +382,6 @@ def test_search_cap(g31):
         exhaustive_search(g31.group, "prove-none", cap=100)
 
 
-def test_search_jobs_deterministic(neg1, c5c5):
-    for G in (neg1.group, c5c5.group):
-        a = exhaustive_search(G, "find", jobs=1)
-        b = exhaustive_search(G, "find", jobs=3)
-        assert (a.found is None) == (b.found is None)
-        if a.found:
-            assert a.found.pair1.triple() == b.found.pair1.triple()
-            assert a.found.pair2.triple() == b.found.pair2.triple()
-        assert a.distinct_sigma_sets == b.distinct_sigma_sets
-
-
 def test_search_find_on_beauville_group_matches_direct(g51):
     res = exhaustive_search(g51.group, "find", cap=200)
     assert res.found is not None

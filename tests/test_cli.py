@@ -114,6 +114,18 @@ def test_verify_parse_error_exit_2(workdir, capsys):
     assert main(["verify", "--group", str(workdir), "--pair1", "x;y", "--pair2", "x;y"]) == 2
     (workdir / "c5.pcp").write_text("pcgroup c5\ngen a order 5\n")
     assert main(["verify", "--group", "c5.pcp", "--pair1", "a;a", "--pair2", "a;a"]) == 2
+    # a theta stanza without an image for y
+    text = (workdir / "case_i_5_1.pcp").read_text()
+    partial = "".join(ln for ln in text.splitlines(True) if not ln.startswith("theta y"))
+    assert partial != text
+    (workdir / "partial_theta.pcp").write_text(partial)
+    for argv in (
+        ["verify", "--group", "partial_theta.pcp", "--pair1", "x;y", "--pair2", "x;y"],
+        ["search", "--group", "partial_theta.pcp", "--mode", "find"],
+        ["series", "--group", "partial_theta.pcp"],
+    ):
+        assert main(argv) == 2
+    assert capsys.readouterr().err.count("theta stanza has no image for y") == 3
 
 
 # -- search ---------------------------------------------------------------------
@@ -302,6 +314,13 @@ def test_reproduce_only(workdir, capsys):
     assert code == 0
     assert rep["all_pass"] is True
     assert rep["criteria"][0]["number"] == 4
+
+
+def test_reproduce_only_rejects_unknown_criteria(workdir, capsys):
+    for only in ("10", "0", "4,10", "x"):
+        assert main(["reproduce", "--only", only]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
 
 
 # -- word grammar ------------------------------------------------------------------

@@ -59,7 +59,7 @@ def test_associativity_exhaustive_order_81(neg1):
 
 
 def test_associativity_random_large():
-    G = build_case_ii(2).group  # order 59049, no full table
+    G = build_case_ii(2).group  # order 59049
     rng = random.Random(99)
     for _ in range(100_000):
         a, b, c = (rng.randrange(G.order) for _ in range(3))
@@ -73,32 +73,34 @@ def test_identity_and_inverses(g31):
         assert G.mul(a, G.inv(a)) == 0
 
 
-def test_mul_agrees_with_and_without_table(g22):
-    # order 128 has a materialized table; recompute through the step tables
-    G = g22.group
-    assert G._table is not None
-    rng = random.Random(5)
-    for _ in range(2000):
-        a, b = rng.randrange(G.order), rng.randrange(G.order)
-        x = a
-        for i, e in enumerate(G.vecs[b]):
-            if e:
-                x = G.gen_step[i][e][x]
-        assert x == G.mul(a, b)
+def test_mul_matches_collection(g22):
+    # the per-element walk against collecting the two normal forms directly,
+    # on orders 128 and 15625 and on a mixed-prime group
+    for G in (g22.group, build_case_i(5, 2).group, build_abelian(6).group):
+        coll = G.collector
+        rng = random.Random(5)
+        for _ in range(2000):
+            a, b = rng.randrange(G.order), rng.randrange(G.order)
+            assert G.mul(a, b) == G.index_of(coll.mul(G.vec(a), G.vec(b)))
 
 
-def test_large_group_has_no_table():
-    G = build_case_i(5, 2).group
-    assert G._table is None  # 15625 > TABLE_CAP: multiplication stays on demand
+def test_import_leaves_numpy_out():
+    import subprocess
+    import sys
+
+    code = "import sys, bforge, bforge.cli, bforge.reproduce; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_gen_step_matches_collection(g51, g22, neg1):
-    # the broadcast step tables against collecting vecs[idx] * g_i directly
+    # the broadcast step tables against collecting vec(idx) * g_i directly
     for G in (g51.group, g22.group, neg1.group, build_abelian(6).group):
+        assert all(G.index_of(G.vec(a)) == a for a in range(G.order))
         coll = G.collector
         for i in range(G.presentation.ngens):
             gi = coll.gen_vec(i)
-            want = [G.index_of(coll.mul(v, gi)) for v in G.vecs]
+            want = [G.index_of(coll.mul(G.vec(a), gi)) for a in range(G.order)]
             assert G.gen_step[i][1] == want
 
 
@@ -107,7 +109,7 @@ def test_group_invariants_order_and_prime(g51):
     from math import prod
 
     G = g51.group
-    assert G.order == len(G.vecs) == prod(G.presentation.orders)
+    assert G.order == len(G.walks) == prod(G.presentation.orders)
     assert G.prime == 5
     assert build_abelian(6).group.prime is None  # mixed 2- and 3-parts
     assert build_abelian(9).group.prime == 3

@@ -60,7 +60,7 @@ def test_case_i_matches_matrix_model():
         table = [None] * G.order
         for idx in range(G.order):
             out = MAT_ID
-            for i, e in enumerate(G.vecs[idx]):
+            for i, e in enumerate(G.vec(idx)):
                 if e:
                     out = mat_mul(out, mat_pow(images[i], e, q), q)
             table[idx] = out
@@ -81,7 +81,7 @@ def test_case_i_52_matches_matrix_model_sampled():
         out = table.get(idx)
         if out is None:
             out = MAT_ID
-            for i, e in enumerate(G.vecs[idx]):
+            for i, e in enumerate(G.vec(idx)):
                 if e:
                     out = mat_mul(out, mat_pow(images[i], e, q), q)
             table[idx] = out
@@ -179,7 +179,7 @@ def check_split_isomorphism(pg, q, s):
     table = [None] * G.order
     for idx in range(G.order):
         out = model.identity
-        for i, e in enumerate(G.vecs[idx]):
+        for i, e in enumerate(G.vec(idx)):
             if e:
                 out = model.mul(out, model.pow(images[i], e))
         table[idx] = out
