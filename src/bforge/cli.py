@@ -41,7 +41,7 @@ from .groups import (
     quotient_group,
 )
 from .nq import MAX_CLASS_BOUND, TriangleParams, triangle_quotient
-from .pc import PcpFile, Word, parse_pcp, print_pcp
+from .pc import PcpFile, parse_pcp, print_pcp
 
 
 # -- element word grammar (CLI side): names, '*', '^INT', parentheses --------
@@ -108,7 +108,10 @@ def evaluate_word(group, named: dict[str, int], text: str) -> int:
             val = group.mul(val, parse_atom())
         return val
 
-    out = parse_product()
+    try:
+        out = parse_product()
+    except RecursionError:
+        raise ValueError("word nests parentheses too deeply") from None
     if peek() is not None:
         raise ValueError(f"trailing input in word: {tokens[cursor:]}")
     return out
@@ -130,15 +133,10 @@ def load_group(path: str, cap: int) -> LoadedGroup:
     pf = parse_pcp(data.decode("utf-8"))
     group = PcGroup(pf.presentation, cap=cap)
     named = {nm: group.gen_index(i) for i, nm in enumerate(pf.presentation.names)}
-    coll = group.collector
-
-    def of_word(w: Word) -> int:
-        return group.index_of(coll.collect(w))
-
     if "x" in pf.distinguished and "y" in pf.distinguished:
-        x, y = of_word(pf.distinguished["x"]), of_word(pf.distinguished["y"])
+        x, y = (group.element_of_word(pf.distinguished[k]) for k in "xy")
     elif "a" in pf.images and "b" in pf.images:
-        x, y = of_word(pf.images["a"]), of_word(pf.images["b"])
+        x, y = (group.element_of_word(pf.images[k]) for k in "ab")
     elif pf.presentation.ngens < 2:
         raise ValueError(f"{path}: one pc generator and no distinguished x, y or images a, b")
     else:
@@ -153,7 +151,7 @@ def load_group(path: str, cap: int) -> LoadedGroup:
             group,
             group,
             [group.gen_index(i) for i in range(n)],
-            [of_word(pf.theta[nm]) for nm in pf.presentation.names],
+            [group.element_of_word(pf.theta[nm]) for nm in pf.presentation.names],
         )
         if not theta.is_automorphism:
             raise ValueError(f"{path}: theta stanza is not an automorphism")

@@ -4,20 +4,17 @@ Elements are dense indices 0..|G|-1; for pc-backed groups the index is the
 mixed-radix rank of the normal-form exponent vector (lexicographic order),
 so index 0 is the identity.  Subsets of a group are bitmasks over indices.
 
-All groups and their derived caches are immutable once built and safe to
-share across concurrent readers; lazily filled caches are only written from
-single-threaded construction paths.
+Groups are single-threaded objects: their caches (inverses, element orders,
+conjugacy data, power classes, Frattini lines, ...) fill on first read.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import CapExceeded, HomomorphismError
 from .pc import (
-    Collector,
     PcPresentation,
     Word,
     prime_power_base,
@@ -259,7 +256,9 @@ class PcGroup(FiniteGroup):
 
     Right-multiplication tables by generator powers back all arithmetic:
     a * b walks a through the tables of b's normal-form digits, listed once
-    per element, so memory stays linear in |G| at every order.
+    per element, so memory stays linear in |G| at every order.  The tables
+    are built from the last generator up by lookups into the tables already
+    built (see _build_gen_step); nothing is collected symbolically.
     """
 
     def __init__(self, pres: PcPresentation, cap: int = DEFAULT_ORDER_CAP):
@@ -272,7 +271,6 @@ class PcGroup(FiniteGroup):
         for i in range(n - 2, -1, -1):
             strides[i] = strides[i + 1] * pres.orders[i + 1]
         self.presentation = pres
-        self.collector = Collector(pres)
         self.strides = strides
         super().__init__(order, pres.prime(), strides, pres.name)
         self._build_gen_step()
@@ -280,33 +278,36 @@ class PcGroup(FiniteGroup):
     # construction ----------------------------------------------------------
 
     def _build_gen_step(self) -> None:
-        """Right-multiplication tables by g_i^e, and each element's walk.
+        """Right-multiplication tables by g_i^e, and each element's walk,
+        from the last generator up by lookups alone (consistent presentations).
 
-        w * g_i keeps w's digits before i, and the rest depend only on w's
-        suffix in G_i = <g_i, ..., g_{n-1}>, the first |G_i| indices: collect
-        there, broadcast.  walks[b] lists the tables gen_step[i][e] of b's
-        nonzero digits e, in order."""
-        pres = self.presentation
-        rmul = self.collector._rmul
+        G_i = <g_i, ..., g_{n-1}> is the first |G_i| indices, and w = g_i^e s
+        in it (s in G_{i+1}) has w g_i = g_i^(e+1) s^(g_i), with the power
+        tail for g_i^(m_i).  Conjugation by g_i sends s = g_j s' (g_j leading)
+        to g_j [g_j, g_i] s'^(g_i): one walk through G_{i+1}'s tables.  The
+        G_i table is broadcast over the prefixes.  walks[b] lists the tables
+        gen_step[i][e] of b's nonzero digits e, in order."""
+        pres, strides = self.presentation, self.strides
         steps: list[list[Optional[list[int]]]] = []
-        walks: list[tuple[list[int], ...]] = [()]
-        for i in range(pres.ngens):
-            m = pres.orders[i]
-            size = m * self.strides[i]
-            local = []
-            for v in itertools.product(*(range(mj) for mj in pres.orders[i:])):
-                w = [0] * i + list(v)
-                rmul(w, i, 1)
-                local.append(self.index_of(w))
-            step1 = [hi + t for hi in range(0, self.order, size) for t in local]
+        self.walks: list[tuple[list[int], ...]] = [()]  # of G_{i+1}: self.mul works there
+        for i in range(pres.ngens - 1, -1, -1):
+            m, st = pres.orders[i], strides[i]
+            conj = [0] * st  # s -> s^(g_i) on G_{i+1}
+            for j in range(pres.ngens - 1, i, -1):
+                cj = self.element_of_word(((j, 1),) + pres.comm_tails.get((j, i), ()))
+                for s in range(strides[j], pres.orders[j] * strides[j]):
+                    conj[s] = self.mul(cj, conj[s - strides[j]])
+            tail = self.element_of_word(pres.power_tails[i])
+            local = [hi + c for hi in range(st, m * st, st) for c in conj]
+            local += [self.mul(tail, c) for c in conj]
+            step1 = [hi + t for hi in range(0, self.order, m * st) for t in local]
             tabs: list[Optional[list[int]]] = [None, step1]
             for _ in range(2, m):
                 tabs.append([step1[x] for x in tabs[-1]])  # shares step1's ints
-            steps.append(tabs)
+            steps.insert(0, tabs)
             digit = ((),) + tuple((t,) for t in tabs[1:])
-            walks = [w + d for w in walks for d in digit]  # lexicographic = index order
+            self.walks = [d + w for d in digit for w in self.walks]  # index order
         self.gen_step = steps
-        self.walks = walks
 
     # arithmetic -------------------------------------------------------------
 
@@ -314,13 +315,6 @@ class PcGroup(FiniteGroup):
         for step in self.walks[b]:
             a = step[a]
         return a
-
-    def inv(self, a: int) -> int:
-        cached = self._inv_cache.get(a)
-        if cached is None:
-            cached = self.index_of(self.collector.inv(self.vec(a)))
-            self._inv_cache[a] = cached
-        return cached
 
     def vec(self, a: int) -> tuple[int, ...]:
         """Normal-form exponent vector of element a (its mixed-radix digits)."""
@@ -337,7 +331,7 @@ class PcGroup(FiniteGroup):
         return self.strides[i]
 
     def element_of_word(self, word: Word) -> int:
-        return self.index_of(self.collector.collect(word))
+        return _eval_word(self, self.strides, word)
 
     def word_of(self, a: int) -> Word:
         return tuple((i, e) for i, e in enumerate(self.vec(a)) if e)

@@ -130,7 +130,7 @@ class Collector:
     Rewriting pushes the leftmost out-of-place generator into the collected
     prefix, conjugating the trailing suffix; tails only involve later
     generators, so the recursion is well-founded on the generator index.
-    Pure and safe for concurrent use once constructed.
+    Single-threaded: it memoizes tails and conjugates as it collects.
     """
 
     def __init__(self, pres: PcPresentation):

@@ -36,6 +36,7 @@ from .groups import (
     subgroup_closure,
 )
 from .nq import TriangleParams, triangle_quotient
+from .pc import Collector
 
 
 @dataclass
@@ -298,7 +299,7 @@ def criterion_9(cache: GroupCache) -> CriterionResult:
 
     for key in ("ii_1", "iii_2", "iii_3"):
         pg = cache.get(key)
-        coll = pg.group.collector
+        coll = Collector(pg.group.presentation)
         orders = pg.group.presentation.orders
         xv, yv = coll.gen_vec(0), coll.gen_vec(1)
         xyv = coll.mul(xv, yv)

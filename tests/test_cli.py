@@ -110,6 +110,8 @@ def test_verify_parse_error_exit_2(workdir, capsys):
     assert main(["verify", "--group", "case_i_5_1.pcp", "--pair1", "x;(y", "--pair2", "x;y"]) == 2
     assert main(["verify", "--group", "case_i_5_1.pcp", "--pair1", "q;y", "--pair2", "x;y"]) == 2
     assert main(["verify", "--group", "missing.pcp", "--pair1", "x;y", "--pair2", "x;y"]) == 2
+    deep = "(" * 2000 + "x" + ")" * 2000 + ";y"
+    assert main(["verify", "--group", "case_i_5_1.pcp", "--pair1", deep, "--pair2", "x;y"]) == 2
     # a directory, and a one-generator group with no marked pair
     assert main(["verify", "--group", str(workdir), "--pair1", "x;y", "--pair2", "x;y"]) == 2
     (workdir / "c5.pcp").write_text("pcgroup c5\ngen a order 5\n")

@@ -26,7 +26,8 @@ from bforge.groups import (
     quotient_group,
     subgroup_closure,
 )
-from bforge.pc import make_presentation
+from bforge.nq import TriangleParams, triangle_quotient
+from bforge.pc import Collector, make_presentation
 
 
 def test_bit_indices():
@@ -73,15 +74,30 @@ def test_identity_and_inverses(g31):
         assert G.mul(a, G.inv(a)) == 0
 
 
+def _triangle_quotient(p, k, r, c):
+    return PcGroup(triangle_quotient(TriangleParams(p, k, r), c).pres)
+
+
 def test_mul_matches_collection(g22):
-    # the per-element walk against collecting the two normal forms directly,
-    # on orders 128 and 15625 and on a mixed-prime group
-    for G in (g22.group, build_case_i(5, 2).group, build_abelian(6).group):
-        coll = G.collector
+    # mul, inv and element_of_word against collection, on orders 128, 15625,
+    # a triangle quotient with a power tail and a mixed-prime group (whose
+    # inv is the generic power rule)
+    tq = _triangle_quotient(2, 2, 4, 4)
+    for G in (g22.group, build_case_i(5, 2).group, tq, build_abelian(6).group):
+        coll = Collector(G.presentation)
+        orders = G.presentation.orders
         rng = random.Random(5)
         for _ in range(2000):
             a, b = rng.randrange(G.order), rng.randrange(G.order)
             assert G.mul(a, b) == G.index_of(coll.mul(G.vec(a), G.vec(b)))
+            assert G.inv(a) == G.index_of(coll.inv(G.vec(a)))
+        for _ in range(300):
+            # generators out of order, exponents negative and >= m_i
+            word = []
+            for _ in range(rng.randrange(1, 9)):
+                g = rng.randrange(len(orders))
+                word.append((g, rng.choice([-1, 1]) * rng.randrange(1, 2 * orders[g] + 2)))
+            assert G.element_of_word(tuple(word)) == G.index_of(coll.collect(word))
 
 
 def test_import_leaves_numpy_out():
@@ -94,10 +110,14 @@ def test_import_leaves_numpy_out():
 
 
 def test_gen_step_matches_collection(g51, g22, neg1):
-    # the broadcast step tables against collecting vec(idx) * g_i directly
-    for G in (g51.group, g22.group, neg1.group, build_abelian(6).group):
+    # the step tables against collecting vec(idx) * g_i directly; the two
+    # class-4 triangle quotients (orders 1024 and 2187) carry power tails
+    groups = [g51.group, g22.group, neg1.group, build_abelian(6).group]
+    groups += [_triangle_quotient(2, 2, 4, 4), _triangle_quotient(3, 1, 9, 4)]
+    assert all(any(G.presentation.power_tails) for G in groups[-2:])
+    for G in groups:
         assert all(G.index_of(G.vec(a)) == a for a in range(G.order))
-        coll = G.collector
+        coll = Collector(G.presentation)
         for i in range(G.presentation.ngens):
             gi = coll.gen_vec(i)
             want = [G.index_of(coll.mul(G.vec(a), gi)) for a in range(G.order)]
