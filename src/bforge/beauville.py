@@ -201,10 +201,14 @@ def search_cap(mode: str, cap: Optional[int]) -> int:
 
 
 def _generating_pairs(G: FiniteGroup):
-    """(x, y, key) for every generating pair in lexicographic order.  The
-    sigma-equivalence key is the set of power classes of x, y and xy:
-    pairs with equal keys have equal sigma sets."""
+    """(x, y, key, weight) in lexicographic order for every generating pair
+    whose x is a conjugacy-class representative (the class's least index);
+    weight is the size of x's class, and conjugates of x have as many
+    generating partners, so the weights sum to the number of generating
+    pairs.  The sigma-equivalence key is the set of power classes of x, y
+    and xy: pairs with equal keys have equal sigma sets."""
     keys = [G.power_classes(a) for a in range(G.order)]
+    masks, _, reps = G.conjugacy_data()
     lines = G.frattini_lines()
     if lines is None:  # not a 2-generated p-group: a closure per pair
 
@@ -219,9 +223,10 @@ def _generating_pairs(G: FiniteGroup):
         def partners(x: int):
             return by_line[lines[x]]
 
-    for x in range(1, G.order):
+    for x, mask in zip(reps[1:], masks[1:]):
+        weight = mask.bit_count()
         for y in partners(x):
-            yield x, y, frozenset((keys[x], keys[y], keys[G.mul(x, y)]))
+            yield x, y, frozenset((keys[x], keys[y], keys[G.mul(x, y)])), weight
 
 
 def exhaustive_search(
@@ -238,9 +243,13 @@ def exhaustive_search(
     inverted under theta by some conjugator, each represented by its least
     such pair and that pair's least conjugator.
 
-    One pass over the generating pairs in lexicographic order keys the sigma
-    classes.  Soundness rests solely on that deduplication: pairs with equal
-    keys have equal sigma sets, so two of one class never form a structure.
+    One pass over the generating pairs in lexicographic order, x over class
+    representatives only, keys the sigma classes; generating_pairs is their
+    class-size-weighted count.  Conjugating (x, y) by h keeps its key and
+    whether it generates, and if g inverts it under theta then
+    h^-1 g theta(h) inverts (x^h, y^h): so each key's least pair and least
+    inverted pair start at a representative.  Soundness rests solely on the
+    deduplication: pairs with equal keys have equal sigma sets.
     """
     if mode not in ("find", "prove-none", "find-strongly-real"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -256,8 +265,8 @@ def exhaustive_search(
         # g theta(a) g^-1 = a^-1 needs theta(a) conjugate to a^-1
         _, class_id, _ = G.conjugacy_data()
         flips = [class_id[theta(a)] == class_id[G.inv(a)] for a in range(G.order)]
-        for x, y, key in _generating_pairs(G):
-            total += 1
+        for x, y, key, weight in _generating_pairs(G):
+            total += weight
             classes.setdefault(key, (x, y))
             if flips[x] and flips[y] and key not in inverted:
                 g = _find_conjugator(G, theta, x, y, G.order)
@@ -265,8 +274,8 @@ def exhaustive_search(
                     inverted[key] = (x, y, g)
         reps = [inverted[k] for k in classes if k in inverted]
     else:
-        for x, y, key in _generating_pairs(G):
-            total += 1
+        for x, y, key, weight in _generating_pairs(G):
+            total += weight
             classes.setdefault(key, (x, y))
         reps = [(x, y, None) for x, y in classes.values()]
     found: Optional[BeauvilleCertificate] = None

@@ -427,13 +427,16 @@ def cmd_search(args) -> int:
 
 def cmd_series(args) -> int:
     t0 = time.perf_counter()
+    lo = 2 if args.from_weight is None else args.from_weight
+    if lo < 2:
+        raise ValueError(f"--from {lo}: the refinement starts at weight 2")
+    if args.to_weight is not None and args.to_weight < lo:
+        raise ValueError(f"--to {args.to_weight} is below --from {lo}")
     loaded = load_group(args.group, cap=args.max_order)
     pg = loaded.pg
     G = pg.group
     lcs = lower_central_series(G)
-    cls = len(lcs.terms) - 1
-    lo = args.from_weight if args.from_weight else 2
-    hi = args.to_weight if args.to_weight else cls
+    hi = len(lcs.terms) - 1 if args.to_weight is None else args.to_weight
     terms_json = []
     pairs = None
     if pg.family != "abelian" and pg.p:

@@ -28,17 +28,27 @@ def brute_order(G, a: int) -> int:
     return n
 
 
+def brute_powers(G, a: int) -> frozenset[int]:
+    out, x = {0}, a
+    while x != 0:
+        out.add(x)
+        x = G.mul(x, a)
+    return frozenset(out)
+
+
 def brute_class(G, a: int) -> set[int]:
     return {G.mul(G.mul(G.inv(g), a), g) for g in range(G.order)}
 
 
 def brute_closure(G, seeds) -> set[int]:
-    cur = {0} | set(seeds)
-    while True:
-        nxt = cur | {G.mul(a, b) for a in cur for b in cur}
-        if nxt == cur:
-            return cur
-        cur = nxt
+    """Every product of seeds, found level by level by word length; in a
+    finite group that is the subgroup they generate."""
+    seeds = set(seeds)
+    cur, level = {0}, {0}
+    while level:
+        level = {G.mul(a, s) for a in level for s in seeds} - cur
+        cur |= level
+    return cur
 
 
 def brute_commutator_subgroup(G, members) -> set[int]:
@@ -55,3 +65,42 @@ def brute_frattini(G) -> set[int]:
 
 def brute_is_generating(G, x: int, y: int) -> bool:
     return len(brute_closure(G, [x, y])) == G.order
+
+
+def brute_search_classes(G, theta=None):
+    """(total, least, inverted) over every ordered pair (x, y) with <x, y> = G.
+
+    Each pair is keyed by the set of conjugacy classes met by <x>, <y> and
+    <xy>.  total counts the generating pairs; least maps each key to its
+    lexicographically least pair, in first-seen order.  With theta, inverted
+    maps each key that has one to its least pair inverted by some g (that is,
+    g theta(a) g^-1 = a^-1 for a in {x, y}) and that pair's least g, as
+    (x, y, g); without theta it is None.  Generation is memoised on the pair
+    of cyclic subgroups <x>, <y>, which determine <x, y>.
+    """
+    powers = [brute_powers(G, a) for a in range(G.order)]
+    class_of = [frozenset(brute_class(G, a)) for a in range(G.order)]
+    key_of = [frozenset(class_of[b] for b in powers[a]) for a in range(G.order)]
+    if theta is not None:
+        inverters = [
+            {g for g in range(G.order) if G.mul(G.mul(g, theta(a)), G.inv(g)) == G.inv(a)}
+            for a in range(G.order)
+        ]
+    generates: dict = {}
+    total, least, inverted = 0, {}, {}
+    for x in range(G.order):
+        for y in range(G.order):
+            cyclic = (powers[x], powers[y])
+            if cyclic not in generates:
+                generates[cyclic] = brute_is_generating(G, x, y)
+            if not generates[cyclic]:
+                continue
+            total += 1
+            key = frozenset((key_of[x], key_of[y], key_of[G.mul(x, y)]))
+            least.setdefault(key, (x, y))
+            if theta is not None and key not in inverted:
+                common = inverters[x] & inverters[y]
+                if common:
+                    inverted[key] = (x, y, min(common))
+    return total, least, inverted if theta is not None else None
+

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from oracle import brute_is_generating, brute_sigma
+from oracle import brute_is_generating, brute_search_classes, brute_sigma
 
 from bforge.beauville import (
     GenPair,
+    _generating_pairs,
     check_beauville,
     check_strongly_real,
     exhaustive_search,
@@ -28,6 +29,7 @@ from bforge.families import (
     refinement_series,
 )
 from bforge.groups import (
+    PcGroup,
     hom_from_images,
     lower_central_series,
     normal_closure,
@@ -35,6 +37,7 @@ from bforge.groups import (
     subgroup_closure,
 )
 from bforge.nq import TriangleParams, triangle_quotient
+from bforge.pc import make_presentation
 
 
 # -- sigma ----------------------------------------------------------------------
@@ -387,6 +390,97 @@ def test_search_find_on_beauville_group_matches_direct(g51):
     assert res.found is not None
     cert = check_beauville(g51.group, res.found.pair1, res.found.pair2)
     assert cert.beauville
+
+
+def _theory_pairs(G):
+    # generating pairs of a 2-generated p-group: |G|^2 (1 - 1/p)(1 - 1/p^2)
+    p = G.prime
+    return G.order**2 * (p - 1) * (p * p - 1) // p**3
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_negative(1),
+        lambda: build_abelian(5),
+        lambda: build_abelian(7),
+        lambda: build_abelian(9),
+        lambda: build_abelian(13),
+        lambda: build_case_i(5, 1),
+        lambda: build_case_ii(1),
+        lambda: build_case_iii(2),
+    ],
+    ids=["neg1", "c5c5", "c7c7", "c9c9", "c13c13", "case-i-5-1", "case-ii-1", "case-iii-2"],
+)
+def test_search_pair_count_matches_theory(build):
+    G = build().group
+    assert exhaustive_search(G, "find").generating_pairs == _theory_pairs(G)
+
+
+def test_search_find_past_order_1024():
+    # order 2^15, beyond the default cap; only the pair count has an
+    # independent check, the other two counts pin this search's own output
+    tp = TriangleParams(2, 2)
+    G = paper_group_from_nq(triangle_quotient(tp, 5), tp).group
+    res = exhaustive_search(G, "find", cap=32768)
+    assert (res.generating_pairs, res.distinct_sigma_sets, res.sigma_pairs_checked) == (402653184, 1728, 1492128)
+    assert res.generating_pairs == _theory_pairs(G)
+    assert check_beauville(G, res.found.pair1, res.found.pair2).beauville
+
+
+def _h3c2():
+    # Heisenberg(3) x C2: nilpotent but not a p-group, with classes of size 3;
+    # theta inverts x and y and fixes c and z = [y, x]
+    G = PcGroup(make_presentation("h3c2", ("c", "x", "y", "z"), (2, 3, 3, 3), {}, {(2, 1): ((3, 1),)}))
+    c, x, y, z = (G.gen_index(i) for i in range(4))
+    return G, hom_from_images(G, G, [c, x, y, z], [c, G.inv(x), G.inv(y), z])
+
+
+def _paper(build, make_theta=lambda pg: pg.theta):
+    def make():
+        pg = build()
+        return pg.group, make_theta(pg)
+
+    return make
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        _paper(lambda: build_negative(1)),
+        _paper(lambda: build_case_ii(1)),
+        _paper(lambda: build_case_i(5, 1)),
+        _paper(lambda: build_case_i(5, 1), _swap),
+        _paper(lambda: build_abelian(6)),
+        _h3c2,
+    ],
+    ids=["neg1", "case-ii-1", "case-i-5-1", "case-i-5-1-swap", "c6c6", "h3c2"],
+)
+def test_search_matches_brute_force_oracle(build):
+    # x runs over class representatives only; the oracle walks every ordered
+    # pair, so this checks the weighted count, the least pair of each sigma
+    # class in first-seen order, and the certificate each mode returns
+    G, theta = build()
+    total, least, inverted = brute_search_classes(G, theta)
+    seen = {}
+    for x, y, key, _ in _generating_pairs(G):
+        seen.setdefault(key, (x, y))
+    assert list(seen.values()) == list(least.values())
+    D = len(least)
+    plain = [(x, y, None) for x, y in least.values()]
+    strong = [inverted[k] for k in least if k in inverted]
+    for mode, reps in (("find", plain), ("prove-none", plain), ("find-strongly-real", strong)):
+        res = exhaustive_search(G, mode, theta=theta)
+        assert (res.generating_pairs, res.distinct_sigma_sets, res.sigma_pairs_checked) == (total, D, D * (D - 1) // 2)
+        sigmas = [brute_sigma(G, x, y) for x, y, _ in reps]
+        hits = [(i, j) for j in range(len(reps)) for i in range(j) if sigmas[i] & sigmas[j] == {0}]
+        if not hits:
+            assert res.found is None
+            continue
+        i, j = min(hits)
+        (x1, y1, g1), (x2, y2, g2) = reps[i], reps[j]
+        assert (res.found.pair1.x, res.found.pair1.y, res.found.pair2.x, res.found.pair2.y) == (x1, y1, x2, y2)
+        assert res.found.conjugators == (None if g1 is None else (g1, g2))
 
 
 # -- lifting ---------------------------------------------------------------------------------

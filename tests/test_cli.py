@@ -222,6 +222,24 @@ def test_series_fills_only_the_missing_recipe_exponent(workdir, capsys):
     assert not any(t["quotient_strongly_real"] for t in n1_only["terms"])
 
 
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        (["--from", "0"], "--from 0: the refinement starts at weight 2"),
+        (["--from", "1"], "--from 1: the refinement starts at weight 2"),
+        (["--from", "5", "--to", "2"], "--to 2 is below --from 5"),
+        (["--to", "1"], "--to 1 is below --from 2"),
+        (["--from", "3", "--to", "0"], "--to 0 is below --from 3"),
+    ],
+)
+def test_series_bad_weight_range_exit_2(workdir, capsys, weights, message):
+    run(capsys, "construct", "--family", "case-ii", "--k", "1")
+    assert main(["series", "--group", "case_ii_3_1.pcp", *weights]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_series_sigma_cap_forces_lift_path(workdir, capsys):
     run(capsys, "construct", "--family", "case-ii", "--k", "1")
     code, rep = run(
