@@ -337,9 +337,9 @@ def cmd_nq(args) -> int:
     pf.images["a"] = lp.a_word
     pf.images["b"] = lp.b_word
     text = print_pcp(pf)
+    group = PcGroup(lp.pres, cap=args.max_order)  # before writing: a failed run leaves no file
     out = Path(args.out) if args.out else Path(f"tq_{tp.p}_{tp.k}_{tp.rr}_c{lp.nilpotency_class}.pcp")
     out.write_text(text)
-    group = PcGroup(lp.pres, cap=args.max_order)
     payload = {
         "version": __version__,
         "command": ["nq", f"p={tp.p}", f"k={tp.k}", f"r={tp.rr}", f"class={args.class_bound}"],
@@ -437,6 +437,8 @@ def cmd_series(args) -> int:
     G = pg.group
     lcs = lower_central_series(G)
     hi = len(lcs.terms) - 1 if args.to_weight is None else args.to_weight
+    if args.from_weight is not None and lo > hi:
+        raise ValueError(f"--from {lo} is above the group's class {hi}; give --to for trivial terms")
     terms_json = []
     pairs = None
     if pg.family != "abelian" and pg.p:

@@ -10,6 +10,8 @@ conjugacy data, power classes, Frattini lines, ...) fill on first read.
 
 from __future__ import annotations
 
+import os
+import resource
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -28,6 +30,16 @@ _BYTE_BITS = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
 # groups.pcgroup_build.over_table_cap counter.
 TABLE_CAP = 1024
 DEFAULT_ORDER_CAP = 10**6
+# Rough memory a PcGroup takes per element once built (about 620 bytes
+# measured at order 59049), before any cache fills.
+BYTES_PER_ELEMENT = 1024
+
+
+def memory_limit() -> int:
+    """Bytes this process may use: physical memory, or RLIMIT_AS when lower."""
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    return limit if soft == resource.RLIM_INFINITY else min(limit, soft)
 
 
 def bit_indices(mask: int) -> Iterator[int]:
@@ -258,13 +270,21 @@ class PcGroup(FiniteGroup):
     a * b walks a through the tables of b's normal-form digits, listed once
     per element, so memory stays linear in |G| at every order.  The tables
     are built from the last generator up by lookups into the tables already
-    built (see _build_gen_step); nothing is collected symbolically.
+    built (see _build_gen_step); nothing is collected symbolically.  A
+    group whose order times BYTES_PER_ELEMENT exceeds memory_limit() is
+    refused with CapExceeded before anything is built.
     """
 
     def __init__(self, pres: PcPresentation, cap: int = DEFAULT_ORDER_CAP):
         order = pres.order()
         if order > cap:
             raise CapExceeded(f"group order {order} exceeds cap {cap}")
+        limit = memory_limit()
+        if order * BYTES_PER_ELEMENT > limit:
+            raise CapExceeded(
+                f"group order {order} needs about {order * BYTES_PER_ELEMENT >> 20} MB, "
+                f"more than the {limit >> 20} MB this process may use"
+            )
         require_consistent(pres)
         n = pres.ngens
         strides = [1] * n

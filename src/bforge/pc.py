@@ -131,6 +131,19 @@ class Collector:
     prefix, conjugating the trailing suffix; tails only involve later
     generators, so the recursion is well-founded on the generator index.
     Single-threaded: it memoizes tails and conjugates as it collects.
+
+    Generators g_z, ..., g_{n-1} from the first index z past every comm
+    tail's leading generator form the central suffix: they appear in no
+    commutator relation, so they commute with everything and conjugation
+    fixes them.  Multiplying by g_i lifts and conjugates only the part of
+    the suffix below z and leaves the central part in place, so memo keys
+    of conjugates carry no central coordinates.  On a nilpotent-quotient
+    cover this is every tail generator.  On a consistent presentation the
+    normal forms are those of lifting the whole suffix; on an inconsistent
+    one, such as a cover, the two can differ by a relation of the
+    presentation: lifting conjugates a central-only suffix s by a power u
+    of a power tail as inv(u) s u, and inv(u) u may collect to a nonzero
+    central word there.
     """
 
     def __init__(self, pres: PcPresentation):
@@ -145,6 +158,8 @@ class Collector:
             all(pres.comm_tails.get((l, i)) is None for l in range(i + 1, self.n))
             for i in range(self.n)
         ]
+        # g_central, ..., g_{n-1} appear in no commutator relation
+        self.central = 1 + max((j for (j, _), w in pres.comm_tails.items() if w), default=-1)
         self._conj_gen: dict[tuple[int, int], tuple[int, ...]] = {}
         self._conj1_memo: list[dict] = [dict() for _ in range(self.n)]
 
@@ -207,12 +222,12 @@ class Collector:
         """Multiply the normal form in w by g_i^e (any integer e), in place."""
         if e == 0:
             return
-        n = self.n
-        s = None
-        for l in range(i + 1, n):
+        n, z = self.n, self.central
+        s = None  # the part of w after g_i and before the central suffix
+        for l in range(i + 1, z):
             if w[l]:
-                s = tuple(0 if m <= i else w[m] for m in range(n))
-                for m in range(i + 1, n):
+                s = tuple(w[m] if i < m < z else 0 for m in range(n))
+                for m in range(i + 1, z):
                     w[m] = 0
                 break
         if s is not None and not self._central_from[i]:
@@ -283,14 +298,17 @@ class Violation:
         return f"{self.kind} overlap on ({', '.join(self.gens)}): {self.lhs} != {self.rhs}"
 
 
-def overlap_checks(coll: Collector) -> Iterator[tuple[str, tuple[str, ...], tuple, tuple]]:
+def overlap_checks(
+    coll: Collector, ngens: Optional[int] = None
+) -> Iterator[tuple[str, tuple[str, ...], tuple, tuple]]:
     """Yield (kind, gens, lhs, rhs) for every overlap test word.
 
     The checks are the standard ones that certify unique normal forms for a
     weighted presentation: triple associativity g_k(g_j g_i) = (g_k g_j)g_i
-    for k > j > i and the power overlaps for j >= i.
+    for k > j > i and the power overlaps for j >= i.  With ngens, only the
+    checks among the first ngens generators are made (all by default).
     """
-    n = coll.n
+    n = coll.n if ngens is None else ngens
     names = coll.pres.names
     g = [coll.gen_vec(i) for i in range(n)]
     gpow = [coll.collect([(i, coll.orders[i])]) for i in range(n)]

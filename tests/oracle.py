@@ -6,6 +6,10 @@ avoiding the cached class/closure machinery under test.
 
 from __future__ import annotations
 
+import random
+
+from bforge.pc import Collector
+
 
 def brute_sigma(G, x: int, y: int) -> set[int]:
     out = set()
@@ -104,3 +108,27 @@ def brute_search_classes(G, theta=None):
                     inverted[key] = (x, y, min(common))
     return total, least, inverted if theta is not None else None
 
+
+def assert_central_suffix_agrees(pres, seed, rounds, same):
+    """Collect, multiply, invert and power random words with pres's
+    Collector and with one whose central suffix is switched off, so that
+    every generator after g_i is lifted and conjugated; same(x, y) decides
+    whether two normal forms agree."""
+    fast, full = Collector(pres), Collector(pres)
+    full.central = full.n
+    assert fast.central < fast.n
+    rng = random.Random(seed)
+    n, orders = pres.ngens, pres.orders
+
+    def word():
+        gens = [rng.randrange(n) for _ in range(rng.randrange(1, 6))]
+        return [(g, rng.randrange(-2 * orders[g], 2 * orders[g] + 1)) for g in gens]
+
+    for _ in range(rounds):
+        u, v = word(), word()
+        cu, cv = fast.collect(u), fast.collect(v)
+        assert same(cu, full.collect(u)) and same(cv, full.collect(v))
+        assert same(fast.mul(cu, cv), full.mul(cu, cv))
+        assert same(fast.inv(cu), full.inv(cu))
+        e = rng.randrange(-30, 31)
+        assert same(fast.power(cu, e), full.power(cu, e))

@@ -1,10 +1,17 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from bforge.cli import evaluate_word, main
 from bforge.groups import PcGroup
 from bforge.pc import parse_pcp, print_pcp
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture()
@@ -48,6 +55,27 @@ def test_construct_invalid_params_exit_2(workdir, capsys):
 
 def test_construct_cap_exit_3(workdir, capsys):
     assert main(["construct", "--family", "case-i", "--p", "5", "--k", "3", "--max-order", "1000000"]) == 3
+
+
+def test_nq_over_memory_exits_3_without_artifact(workdir):
+    # the order-13^14 class-5 quotient is under --max-order but far over any
+    # machine's memory; the child runs under a 4 GB address-space limit so
+    # that a missing guard fails the test instead of the machine
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (4 * 10**9, 4 * 10**9))
+
+    argv = ["nq", "--p", "13", "--k", "1", "--class", "5", "--max-order", str(10**16), "--out", "big.pcp"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bforge.cli", *argv],
+        env=env, preexec_fn=limit, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: group order 3937376385699289 needs about ")
+    avail = min(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), 4 * 10**9) >> 20
+    assert f"more than the {avail} MB this process may use" in proc.stderr
+    assert not (workdir / "big.pcp").exists()
 
 
 def test_nq_command(workdir, capsys):
@@ -238,6 +266,37 @@ def test_series_bad_weight_range_exit_2(workdir, capsys, weights, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "family, args, weights, message",
+    [
+        ("case-ii", ["--k", "1"], ["--from", "4"], "--from 4 is above the group's class 3"),
+        ("case-ii", ["--k", "1"], ["--from", "9"], "--from 9 is above the group's class 3"),
+        ("abelian", ["--n", "5"], ["--from", "3"], "--from 3 is above the group's class 1"),
+        ("abelian", ["--n", "5"], ["--from", "2"], "--from 2 is above the group's class 1"),
+    ],
+)
+def test_series_from_above_class_exit_2(workdir, capsys, family, args, weights, message):
+    run(capsys, "construct", "--family", family, *args)
+    name = "case_ii_3_1.pcp" if family == "case-ii" else "abelian_5.pcp"
+    assert main(["series", "--group", name, *weights]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}; give --to for trivial terms\n"
+
+
+def test_series_empty_default_range_and_explicit_trivial_terms(workdir, capsys):
+    # without --from the abelian group's range 2..1 is empty and valid; past
+    # the class an explicit --to gives the trivial terms
+    run(capsys, "construct", "--family", "abelian", "--n", "5")
+    code, rep = run(capsys, "series", "--group", "abelian_5.pcp")
+    assert code == 0 and rep["terms"] == []
+    run(capsys, "construct", "--family", "case-ii", "--k", "1")
+    code, rep = run(capsys, "series", "--group", "case_ii_3_1.pcp", "--from", "3")
+    assert code == 0 and {t["weight"] for t in rep["terms"]} == {3}
+    code, rep = run(capsys, "series", "--group", "case_ii_3_1.pcp", "--from", "4", "--to", "5")
+    assert code == 0 and {t["order"] for t in rep["terms"]} == {"1"}
 
 
 def test_series_sigma_cap_forces_lift_path(workdir, capsys):

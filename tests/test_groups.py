@@ -11,9 +11,10 @@ from oracle import (
     brute_sigma,
 )
 
-from bforge.errors import HomomorphismError
+from bforge.errors import CapExceeded, HomomorphismError
 from bforge.families import build_abelian, build_case_i, build_case_ii
 from bforge.groups import (
+    BYTES_PER_ELEMENT,
     PcGroup,
     agemo,
     bit_indices,
@@ -38,6 +39,16 @@ def test_bit_indices():
 
 
 # -- arithmetic invariants ----------------------------------------------------
+
+
+def test_memory_guard(monkeypatch):
+    # about BYTES_PER_ELEMENT per element must fit in what the process may use
+    pres = make_presentation("c125", ["a", "b", "c"], [5, 5, 5])
+    monkeypatch.setattr("bforge.groups.memory_limit", lambda: 125 * BYTES_PER_ELEMENT - 1)
+    with pytest.raises(CapExceeded, match="group order 125 needs about 0 MB"):
+        PcGroup(pres)
+    monkeypatch.setattr("bforge.groups.memory_limit", lambda: 125 * BYTES_PER_ELEMENT)
+    assert PcGroup(pres).order == 125
 
 
 def test_associativity_exhaustive_small(c5c5):

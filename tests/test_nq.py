@@ -1,4 +1,8 @@
+import hashlib
+from math import comb
+
 import pytest
+from oracle import assert_central_suffix_agrees
 
 from bforge.errors import CapExceeded
 from bforge.groups import PcGroup, hom_from_images, lower_central_series
@@ -6,9 +10,11 @@ from bforge.nq import (
     TriangleParams,
     extend_class,
     initial_class_quotient,
+    tail_cover,
     triangle_quotient,
 )
-from bforge.pc import Collector, consistency_check
+from bforge.pc import Collector, PcpFile, consistency_check, overlap_checks, print_pcp
+from bforge.zlinalg import hermite_form, hnf_reduce
 
 
 def nq_group(lp):
@@ -198,3 +204,71 @@ def test_stabilized_flag_on_degenerate_extension():
     out = extend_class(lp, tp)
     assert out.stabilized
     assert out.pres == pres
+
+
+_COVERS = [(3, 1, 3), (3, 1, 4), (2, 2, 3), (2, 2, 4), (5, 1, 3), (5, 1, 4)]
+
+
+def _cover(p, k, cls):
+    """The tail cover extend_class builds from the class-cls quotient, and
+    the number of its base generators."""
+    tp = TriangleParams(p, k)
+    lp = triangle_quotient(tp, cls)
+    star, _ = tail_cover(lp, tp.p ** (tp.k + cls + 3))
+    return star, lp.pres.ngens
+
+
+@pytest.mark.parametrize("p,k,cls", _COVERS)
+def test_central_suffix_on_covers_gives_equal_elements(p, k, cls):
+    # a cover is inconsistent, so the two collection paths may give normal
+    # forms that differ in the tail coordinates (the full lift conjugates a
+    # tail-only suffix s by a power u of a power tail as inv(u) s u, and
+    # inv(u) u can collect to a nonzero tail; seen on the (2, 2) class-4
+    # cover).  Such a difference must be a relation of the cover: it
+    # reduces to zero modulo the Hermite form of the base overlaps' rows
+    # and the modulus rows.
+    star, n = _cover(p, k, cls)
+    m = star.ngens - n
+    rows = [[lhs[n + t] - rhs[n + t] for t in range(m)] for _, _, lhs, rhs in overlap_checks(Collector(star), n)]
+    rows += [[star.orders[n] if s == t else 0 for s in range(m)] for t in range(m)]
+    H = hermite_form(rows, m)
+
+    def same(x, y):
+        return x[:n] == y[:n] and not any(hnf_reduce(H, [a - b for a, b in zip(x[n:], y[n:])]))
+
+    assert_central_suffix_agrees(star, 2024, 150, same)
+
+
+@pytest.mark.parametrize("p,k,cls", _COVERS)
+def test_overlaps_touching_a_tail_generator_are_zero(p, k, cls):
+    # extend_class checks only the base generators' overlaps; every check of
+    # the full range that touches a tail generator agrees on both sides
+    star, n = _cover(p, k, cls)
+    m = star.ngens - n
+    touching = 0
+    for _, gens, lhs, rhs in overlap_checks(Collector(star)):
+        if max(star.index(g) for g in gens) >= n:
+            touching += 1
+            assert lhs == rhs, gens
+    # associativity triples and power overlaps with a generator past n
+    assert touching == comb(n + m, 3) - comb(n, 3) + (n + m) ** 2 - n**2
+
+
+# sha256 of print_pcp of the class-5 quotient, for the seven bench inputs
+# whose answer is known; extend_class must reproduce them byte for byte
+_CLASS_FIVE_SHA256 = {
+    (2, 2, None): "9211007003be8b2fe334483c793282390057ea99cf7ff2aa9fc364e4bf2bc093",
+    (3, 1, None): "28a7584161332a2f4ced2e29467954d816f9ce4cf284b19131cedf2cd95adcd0",
+    (3, 1, 27): "c3ca50fc5b18fce38483637b43b00cd97848edd2158a7c037cd49acfd81b8405",
+    (5, 1, None): "e61395b085802605853bdd6f7f450ba9e3389f9b11f61096190f14e88e115f13",
+    (7, 1, None): "6751e7b0d05d4cf3164d17fb740829d4d1aefd13c340487272656fba7ab74f96",
+    (11, 1, None): "9a8e2bd2dff3d4d8ccc247994a0e91785ff12106cba26fd3a784ba044c039f90",
+    (13, 1, None): "e101b35241160865759923a3ce534b3167cedfd418474b26022778afa59c02c0",
+}
+
+
+@pytest.mark.parametrize("params", sorted(_CLASS_FIVE_SHA256, key=str))
+def test_class_five_presentations_pinned(params):
+    lp = triangle_quotient(TriangleParams(*params), 5, order_cap=10**40)
+    text = print_pcp(PcpFile(lp.pres))
+    assert hashlib.sha256(text.encode()).hexdigest() == _CLASS_FIVE_SHA256[params]

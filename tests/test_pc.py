@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import assert_central_suffix_agrees
+
 from bforge.errors import PcpSyntaxError, ShapeError
+from bforge.nq import TriangleParams, tail_cover, triangle_quotient
 from bforge.pc import (
     Collector,
     PcpFile,
@@ -270,3 +273,33 @@ def test_power_by_repeated_squaring_matches_iteration():
     for n in range(0, 30):
         assert coll.power(xy, n) == acc
         acc = coll.mul(acc, xy)
+
+
+# -- central suffix -------------------------------------------------------------
+
+
+def test_central_suffix_index():
+    assert Collector(heisenberg(5)).central == 2
+    assert Collector(case_ii(1)).central == 3
+    assert Collector(make_presentation("c9", ["a", "b"], [3, 3], {0: [(1, 1)]})).central == 0
+    # on the cover extend_class builds, the suffix is exactly the tail generators
+    tp = TriangleParams(3, 1)
+    lp = triangle_quotient(tp, 3)
+    star, tailed = tail_cover(lp, 3**7)
+    assert Collector(star).central == lp.pres.ngens == star.ngens - len(tailed)
+
+
+@pytest.mark.parametrize(
+    "pres_fn",
+    [
+        lambda: heisenberg(5),
+        lambda: case_ii(1),
+        lambda: triangle_quotient(TriangleParams(3, 1), 4).pres,
+        lambda: triangle_quotient(TriangleParams(2, 2), 4).pres,
+        lambda: triangle_quotient(TriangleParams(5, 1), 4).pres,
+    ],
+    ids=["heis5", "case-ii-1", "tq-3-1-c4", "tq-2-2-c4", "tq-5-1-c4"],
+)
+def test_central_suffix_matches_full_lift(pres_fn):
+    # on a consistent presentation both paths give the same normal forms
+    assert_central_suffix_agrees(pres_fn(), 2024, 300, lambda x, y: x == y)
