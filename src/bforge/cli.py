@@ -564,6 +564,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "max_order", None) is not None and args.max_order < 1:
+            raise ValueError(f"--max-order {args.max_order}: the order cap must be at least 1")
         return args.fn(args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from .groups import (
     Homomorphism,
     NormalSeries,
     PcGroup,
-    _closure_of_gens,
+    _Closure,
     _series_indices,
     hom_from_images,
     is_normal,
@@ -230,19 +230,23 @@ def refinement_series(pg: PaperGroup, i: int, check: bool = True) -> NormalSerie
     bottom = lcs.terms[i] if i < len(lcs.terms) else G.trivial_set()
     terms = [bottom]
     gens = list(bottom.gens or bottom.indices())
+    closure = _Closure(G)  # the current term, grown along the chain
+    for g in gens:
+        closure.add(g)
     current = bottom
     for s in left_normed_commutators(G, pg.x, pg.y, i):
         e = 0
         v = s
-        while v not in current:
+        while not closure.seen[v]:
             v = G.pow(v, p)
             e += 1
         for j in range(e - 1, -1, -1):
             gens.append(G.pow(s, p**j))
-            nxt_mask = _closure_of_gens(G, gens)
-            nxt = ElementSet(G, nxt_mask, True, is_normal(G, ElementSet(G, nxt_mask, True, False, tuple(gens))), tuple(gens))
-            terms.append(nxt)
-            current = nxt
+            closure.add(gens[-1])
+            mask = closure.mask()
+            normal = is_normal(G, ElementSet(G, mask, True, False, tuple(gens)))
+            current = ElementSet(G, mask, True, normal, tuple(gens))
+            terms.append(current)
     if current.mask != top.mask:
         raise AssertionError("left-normed commutators failed to span the layer")
     terms.reverse()

@@ -25,6 +25,7 @@ from .pc import (
 )
 
 _BYTE_BITS = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
+_MEMBER_DIGITS = bytes.maketrans(b"\0\1", b"01")  # membership bytes -> binary digits
 
 # Not used by bforge itself; the benchmark tracer reads it for its
 # groups.pcgroup_build.over_table_cap counter.
@@ -233,7 +234,10 @@ class FiniteGroup:
     def mark_generators(self, gens: list[int]) -> None:
         """Replace the marked generating set; verifies it still generates
         (orbit and series machinery silently depend on that)."""
-        if _closure_of_gens(self, list(gens)) != self.full_mask():
+        cl = _Closure(self)
+        for g in gens:
+            cl.add(g)
+        if len(cl.members) != self.order:
             raise ValueError("marked elements do not generate the group")
         self.generators = list(gens)
 
@@ -515,55 +519,78 @@ def induced_automorphism(Q: CosetGroup, phi: Homomorphism) -> Homomorphism:
 # -- subgroup machinery ------------------------------------------------------
 
 
-def _closure_of_gens(G: FiniteGroup, gens: list[int]) -> int:
-    mask = 1
-    members = [0]
-    for s in gens:
-        if mask >> s & 1:
-            continue
-        mask |= 1 << s
-        members.append(s)
-    head = 0
-    while head < len(members):
-        x = members[head]
-        head += 1
-        for s in gens:
-            y = G.mul(x, s)
-            if not mask >> y & 1:
-                mask |= 1 << y
-                members.append(y)
-    return mask
+class _Closure:
+    """Incremental subgroup closure, a whole right coset at a time (Dimino).
+
+    Holds H = <gens> as a bytearray of members (seen), the member list, and
+    the generators it kept.  add(s) with s outside H grows H to <H, s> by
+    right cosets of the old H: first H s, then for each new coset rep r and
+    each kept generator g (s included) an unseen r g starts the coset H (r g).
+    The union is then closed under right multiplication by every kept
+    generator, so it is the subgroup.  Cost: one mul per new element plus
+    one per (coset, generator) pair, however many generators came before.
+    """
+
+    def __init__(self, G: FiniteGroup):
+        self.group = G
+        self.seen = bytearray(G.order)
+        self.seen[0] = 1
+        self.members = [0]
+        self.gens: list[int] = []
+
+    def add(self, s: int) -> bool:
+        """Adjoin s; False (and nothing changes) when s is already a member."""
+        seen = self.seen
+        if seen[s]:
+            return False
+        mul = self.group.mul
+        members = self.members
+        old = members[:]
+        gens = self.gens
+        gens.append(s)
+
+        def start_coset(r: int) -> None:
+            coset = [mul(h, r) for h in old]
+            for y in coset:
+                seen[y] = 1
+            members.extend(coset)
+
+        start_coset(s)
+        reps = [s]
+        for r in reps:  # grows while it runs
+            for g in gens:
+                y = mul(r, g)
+                if not seen[y]:
+                    start_coset(y)
+                    reps.append(y)
+        return True
+
+    def mask(self) -> int:
+        """The members as a bitmask, packed in one linear pass."""
+        return int(self.seen.translate(_MEMBER_DIGITS)[::-1], 2)
 
 
 def subgroup_closure(G: FiniteGroup, seeds: Iterable[int]) -> ElementSet:
     """Smallest subgroup containing the seeds.
 
-    Folds seeds one by one, skipping those already generated, so the number
-    of closure passes is bounded by the subgroup chain length (<= log2 |G|).
+    Adjoins the seeds one by one to a single _Closure, skipping those
+    already generated; gens are the seeds it kept, in order.
     """
-    gens: list[int] = []
-    mask = 1
+    cl = _Closure(G)
     for s in seeds:
-        if not mask >> s & 1:
-            gens.append(s)
-            mask = _closure_of_gens(G, gens)
-    return ElementSet(G, mask, True, False, tuple(gens))
+        cl.add(s)
+    return ElementSet(G, cl.mask(), True, False, tuple(cl.gens))
 
 
 def normal_closure(G: FiniteGroup, seeds: Iterable[int]) -> ElementSet:
     """Smallest normal subgroup containing the seeds."""
-    gens: list[int] = []
-    mask = 1
+    cl = _Closure(G)
     pending = [s for s in seeds]
     while pending:
         s = pending.pop()
-        if mask >> s & 1:
-            continue
-        gens.append(s)
-        mask = _closure_of_gens(G, gens)
-        for g in G.generators:
-            pending.append(G.conjugate(s, g))
-    return ElementSet(G, mask, True, True, tuple(gens))
+        if cl.add(s):
+            pending += [G.conjugate(s, g) for g in G.generators]
+    return ElementSet(G, cl.mask(), True, True, tuple(cl.gens))
 
 
 def is_normal(G: FiniteGroup, s: ElementSet) -> bool:
@@ -634,14 +661,10 @@ def agemo(G: FiniteGroup, i: int) -> ElementSet:
     if i <= 0:
         return G.as_set()
     e = G.prime**i
-    gens: list[int] = []
-    mask = 1
+    cl = _Closure(G)
     for g in range(G.order):
-        v = G.pow(g, e)
-        if not mask >> v & 1:
-            gens.append(v)
-            mask = _closure_of_gens(G, gens)
-    return ElementSet(G, mask, True, True, tuple(gens))
+        cl.add(G.pow(g, e))
+    return ElementSet(G, cl.mask(), True, True, tuple(cl.gens))
 
 
 def quotient_group(G: FiniteGroup, N: ElementSet) -> tuple[CosetGroup, Homomorphism]:
@@ -678,31 +701,30 @@ def quotient_pc_presentation(G: PcGroup, N: ElementSet, name: str) -> QuotientPr
     from .pc import make_presentation
 
     Q, proj = quotient_group(G, N)
-    n = G.presentation.ngens
-    below_mask = [1] * (n + 1)  # below_mask[i] = <images of g_i..g_{n-1}> in Q
+    below = _Closure(Q)  # <images of g_{i+1}..g_{n-1}> in Q at step i
     kept: list[tuple[int, int, int]] = []  # (parent index, image, relative order)
-    chain_gens: list[int] = []
-    for i in range(n - 1, -1, -1):
+    below_of_kept: list[bytes] = []  # members of below when each was kept
+    for i in range(G.presentation.ngens - 1, -1, -1):
         gq = proj(G.gen_index(i))
         m = 1
         x = gq
-        while not below_mask[i + 1] >> x & 1:
+        while not below.seen[x]:
             x = Q.mul(x, gq)
             m += 1
         if m > 1:
             kept.append((i, gq, m))
-        chain_gens.append(gq)
-        below_mask[i] = _closure_of_gens(Q, chain_gens)
+            below_of_kept.append(bytes(below.seen))
+        below.add(gq)
     kept.reverse()
-    below_of_kept = [below_mask[i + 1] for (i, _, _) in kept]
+    below_of_kept.reverse()
 
     def factor(q: int) -> tuple[int, ...]:
         exps = []
         for pos, (_, gq, m) in enumerate(kept):
-            below = below_of_kept[pos]
+            below_seen = below_of_kept[pos]
             for f in range(m):
                 rest = Q.mul(Q.pow(gq, -f), q) if f else q
-                if below >> rest & 1:
+                if below_seen[rest]:
                     exps.append(f)
                     q = rest
                     break

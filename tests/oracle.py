@@ -55,6 +55,57 @@ def brute_closure(G, seeds) -> set[int]:
     return cur
 
 
+def brute_normal_closure(G, seeds) -> set[int]:
+    """The closure of every conjugate of every seed."""
+    return brute_closure(G, {G.mul(G.mul(G.inv(g), s), g) for s in seeds for g in range(G.order)})
+
+
+def fold_closure_of_gens(G, gens) -> int:
+    """Mask of <gens> by breadth-first search from scratch, as the closures
+    were taken before they grew a coset at a time."""
+    mask, members = 1, [0]
+    for s in gens:
+        if not mask >> s & 1:
+            mask |= 1 << s
+            members.append(s)
+    head = 0
+    while head < len(members):
+        x = members[head]
+        head += 1
+        for s in gens:
+            y = G.mul(x, s)
+            if not mask >> y & 1:
+                mask |= 1 << y
+                members.append(y)
+    return mask
+
+
+def fold_subgroup_closure(G, seeds) -> tuple[int, tuple[int, ...]]:
+    """(mask, kept seeds): each seed outside the closure so far is kept and
+    the closure recomputed from all kept seeds."""
+    gens, mask = [], 1
+    for s in seeds:
+        if not mask >> s & 1:
+            gens.append(s)
+            mask = fold_closure_of_gens(G, gens)
+    return mask, tuple(gens)
+
+
+def fold_normal_closure(G, seeds) -> tuple[int, tuple[int, ...]]:
+    """(mask, kept seeds) of the normal closure: seeds are popped from a
+    stack, and each kept one pushes its conjugates by the marked generators."""
+    gens, mask = [], 1
+    pending = list(seeds)
+    while pending:
+        s = pending.pop()
+        if mask >> s & 1:
+            continue
+        gens.append(s)
+        mask = fold_closure_of_gens(G, gens)
+        pending += [G.mul(G.mul(G.inv(g), s), g) for g in G.generators]
+    return mask, tuple(gens)
+
+
 def brute_commutator_subgroup(G, members) -> set[int]:
     comms = {G.comm(h, g) for h in members for g in range(G.order)}
     return brute_closure(G, comms)

@@ -204,6 +204,28 @@ def test_search_cap_checked_before_enumeration(workdir, capsys, monkeypatch):
     assert main(["search", "--group", "case_ii_3_2.pcp", "--mode", "find", "--max-order", "59048"]) == 3
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--family", "case-i", "--p", "5", "--k", "1"],
+        ["nq", "--p", "3", "--k", "1", "--class", "2", "--out", "tq.pcp"],
+        ["verify", "--group", "case_ii_3_1.pcp", "--paper-structure"],
+        ["search", "--group", "case_ii_3_1.pcp", "--mode", "prove-none"],
+        ["series", "--group", "case_ii_3_1.pcp"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_non_positive_max_order_exit_2(workdir, capsys, argv, cap):
+    # a cap below 1 is bad input, not a cap that every group exceeds
+    run(capsys, "construct", "--family", "case-ii", "--k", "1")
+    assert main([*argv, "--max-order", cap]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --max-order {cap}: the order cap must be at least 1\n"
+    assert sorted(p.name for p in workdir.glob("*.pcp")) == ["case_ii_3_1.pcp"]
+
+
 def test_search_jobs(workdir, capsys):
     run(capsys, "construct", "--family", "abelian", "--n", "7")
     code1, rep1 = run(capsys, "search", "--group", "abelian_7.pcp", "--mode", "find", "--jobs", "1")

@@ -1,14 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle import (
     brute_class,
     brute_closure,
     brute_commutator_subgroup,
     brute_frattini,
+    brute_normal_closure,
     brute_order,
     brute_sigma,
+    fold_normal_closure,
+    fold_subgroup_closure,
 )
 
 from bforge.errors import CapExceeded, HomomorphismError
@@ -252,6 +257,42 @@ def test_closure_flags_and_divisibility(g22):
             assert G.inv(a) in s
             for b in sample:
                 assert G.mul(a, b) in s
+
+
+CLOSURE_GROUPS = ("neg1", "case-ii-1", "case-iii-2", "c6c6", "case-iii-2/gamma3")
+
+
+@pytest.fixture(scope="module")
+def closure_groups(neg1, g31, g22):
+    lcs = lower_central_series(g22.group)
+    coset_group, _ = quotient_group(g22.group, lcs.terms[2])
+    groups = [neg1.group, g31.group, g22.group, build_abelian(6).group, coset_group]
+    return dict(zip(CLOSURE_GROUPS, groups))
+
+
+@pytest.mark.parametrize("name", CLOSURE_GROUPS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_closures_match_brute_and_fold(closure_groups, name, data):
+    # the coset-at-a-time closures against word-length BFS (members) and
+    # against a from-scratch recompute per kept seed (members and gens)
+    G = closure_groups[name]
+    seeds = data.draw(st.lists(st.integers(0, G.order - 1), max_size=4))
+    sub = subgroup_closure(G, seeds)
+    assert set(sub.indices()) == brute_closure(G, seeds)
+    assert (sub.mask, sub.gens) == fold_subgroup_closure(G, seeds)
+    ncl = normal_closure(G, seeds)
+    assert set(ncl.indices()) == brute_normal_closure(G, seeds)
+    assert (ncl.mask, ncl.gens) == fold_normal_closure(G, seeds)
+
+
+@pytest.mark.parametrize("name", [n for n in CLOSURE_GROUPS if n != "c6c6"])
+def test_agemo_matches_brute_and_fold(closure_groups, name):
+    G = closure_groups[name]
+    powers = [G.pow(g, G.prime) for g in range(G.order)]
+    omega = agemo(G, 1)
+    assert set(omega.indices()) == brute_closure(G, powers)
+    assert (omega.mask, omega.gens) == fold_subgroup_closure(G, powers)
 
 
 def test_normal_closure_trivial(g51):
