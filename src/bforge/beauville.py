@@ -148,6 +148,8 @@ def paper_structure(pg: PaperGroup, n1: int, n2: int) -> tuple[GenPair, GenPair]
     """
     if pg.family == "abelian":
         raise ValueError("no generating-pair recipe for abelian groups")
+    if pg.group.prime is None or pg.p != pg.group.prime:
+        raise ValueError(f"no generating-pair recipe: {pg.group.name} is not a {pg.p or 'p'}-group")
     mod, (r1, r2) = recipe_congruence(pg.p)
     on_recipe = n1 % mod == r1 and n2 % mod == r2
     G = pg.group
@@ -381,11 +383,11 @@ def quotient_strongly_real(
     sigma_cap: int,
 ) -> tuple[bool, bool]:
     """(Beauville, strongly real) for the images of two pairs of G in the
-    coset quotient Q = proj.target, under the automorphism theta of G
-    induced on Q.  Full sigma sets decide it when |Q| <= sigma_cap; above
-    that the lift path certifies it, and False there means not certified."""
+    quotient Q = proj.target, under the automorphism theta of G induced on
+    Q.  Full sigma sets decide it when |Q| <= sigma_cap; above that the
+    lift path certifies it, and False there means not certified."""
     Q = proj.target
-    theta_q = induced_automorphism(Q, theta)
+    theta_q = induced_automorphism(proj, theta)
     q1 = GenPair.make(Q, proj(pair1.x), proj(pair1.y))
     q2 = GenPair.make(Q, proj(pair2.x), proj(pair2.y))
     if Q.order <= sigma_cap:

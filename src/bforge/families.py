@@ -119,13 +119,12 @@ def build_negative(k: int, cap: int = DEFAULT_ORDER_CAP) -> PaperGroup:
     G = base.group
     s = G.pow(base.xy(), 3**k)
     N = normal_closure(G, [s])
-    qp = quotient_pc_presentation(G, N, f"negative_3_{k}")
-    group = qp.group
-    x, y = qp.to_new(base.x), qp.to_new(base.y)
+    group, proj = quotient_pc_presentation(G, N, f"negative_3_{k}")
+    x, y = proj(base.x), proj(base.y)
     group.mark_generators([x, y])
-    named = {nm: group.gen_index(i) for i, nm in enumerate(qp.pres.names)}
-    named["t_image"] = qp.to_new(base.named["t"])
-    named["w_image"] = qp.to_new(base.named["w"])
+    named = {nm: group.gen_index(i) for i, nm in enumerate(group.presentation.names)}
+    named["t_image"] = proj(base.named["t"])
+    named["w_image"] = proj(base.named["w"])
     theta = theta_automorphism(group, x, y)
     return PaperGroup("negative", 3, k, None, group, x, y, named, theta)
 
@@ -225,6 +224,8 @@ def refinement_series(pg: PaperGroup, i: int, check: bool = True) -> NormalSerie
         raise ValueError("refinement starts at gamma_2")
     G = pg.group
     p = G.prime
+    if p is None:
+        raise ValueError(f"{G.name} is not a p-group: its series has no index-p refinement")
     lcs = lower_central_series(G)
     top = lcs.terms[i - 1] if i - 1 < len(lcs.terms) else G.trivial_set()
     bottom = lcs.terms[i] if i < len(lcs.terms) else G.trivial_set()

@@ -1,8 +1,9 @@
 """Enumerated finite groups: arithmetic, subgroup machinery, series, quotients.
 
-Elements are dense indices 0..|G|-1; for pc-backed groups the index is the
-mixed-radix rank of the normal-form exponent vector (lexicographic order),
-so index 0 is the identity.  Subsets of a group are bitmasks over indices.
+Every group is a PcGroup, quotients included.  Elements are dense indices
+0..|G|-1, the mixed-radix rank of the normal-form exponent vector
+(lexicographic order), so index 0 is the identity.  Subsets of a group are
+bitmasks over indices.
 
 Groups are single-threaded objects: their caches (inverses, element orders,
 conjugacy data, power classes, Frattini lines, ...) fill on first read.
@@ -13,16 +14,10 @@ from __future__ import annotations
 import os
 import resource
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import CapExceeded, HomomorphismError
-from .pc import (
-    PcPresentation,
-    Word,
-    prime_power_base,
-    format_word,
-    require_consistent,
-)
+from .pc import PcPresentation, Word, format_word, require_consistent
 
 _BYTE_BITS = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
 _MEMBER_DIGITS = bytes.maketrans(b"\0\1", b"01")  # membership bytes -> binary digits
@@ -41,6 +36,11 @@ def memory_limit() -> int:
     limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     soft = resource.getrlimit(resource.RLIMIT_AS)[0]
     return limit if soft == resource.RLIM_INFINITY else min(limit, soft)
+
+
+def _pack(members: bytes) -> int:
+    """Membership bytes, 0 or 1 per index, as a bitmask in one linear pass."""
+    return int(members.translate(_MEMBER_DIGITS)[::-1], 2)
 
 
 def bit_indices(mask: int) -> Iterator[int]:
@@ -156,9 +156,6 @@ class FiniteGroup:
             _, _, reps = self.conjugacy_data()
             self._exponent = max(self.element_order(r) for r in reps)
         return self._exponent
-
-    def element_name(self, a: int) -> str:
-        return f"e{a}"
 
     def full_mask(self) -> int:
         return (1 << self.order) - 1
@@ -364,40 +361,6 @@ class PcGroup(FiniteGroup):
         return format_word(self.word_of(a), self.presentation.names)
 
 
-class CosetGroup(FiniteGroup):
-    """G/N on canonical coset representatives (minimal element index)."""
-
-    def __init__(self, parent: FiniteGroup, normal: ElementSet):
-        nmembers = list(normal.indices())
-        coset_of = [-1] * parent.order
-        reps: list[int] = []
-        for a in range(parent.order):
-            if coset_of[a] >= 0:
-                continue
-            cid = len(reps)
-            reps.append(a)
-            for h in nmembers:
-                coset_of[parent.mul(a, h)] = cid
-        self.parent = parent
-        self.reps = reps
-        self.coset_of = coset_of
-        order = len(reps)
-        prime = parent.prime if parent.prime and prime_power_base(order) == parent.prime else None
-        if order == 1:
-            prime = parent.prime
-        gens = sorted({coset_of[g] for g in parent.generators})
-        super().__init__(order, prime, gens, f"{parent.name}/N{len(normal)}")
-
-    def mul(self, a: int, b: int) -> int:
-        return self.coset_of[self.parent.mul(self.reps[a], self.reps[b])]
-
-    def inv(self, a: int) -> int:
-        return self.coset_of[self.parent.inv(self.reps[a])]
-
-    def element_name(self, a: int) -> str:
-        return self.parent.element_name(self.reps[a])
-
-
 # -- homomorphisms -----------------------------------------------------------
 
 
@@ -414,11 +377,7 @@ class Homomorphism:
         return self.full_map[a]
 
     def kernel(self) -> ElementSet:
-        mask = 0
-        for a, fa in enumerate(self.full_map):
-            if fa == 0:
-                mask |= 1 << a
-        return ElementSet(self.source, mask, True, True)
+        return ElementSet(self.source, _pack(bytes(map((0).__eq__, self.full_map))), True, True)
 
 
 def _spanning_words(G: FiniteGroup, gens: list[int]) -> tuple[list[int], list[int], list[int]]:
@@ -497,25 +456,6 @@ def hom_from_images(
     return Homomorphism(G, H, tuple(fmap), H is G and bijective)
 
 
-def induced_automorphism(Q: CosetGroup, phi: Homomorphism) -> Homomorphism:
-    """Push an automorphism of the parent through the coset projection.
-
-    Well-defined exactly when phi fixes the kernel setwise, which is checked;
-    the induced map is then automatically a bijective homomorphism.
-    """
-    if not phi.is_automorphism or phi.source is not Q.parent:
-        raise HomomorphismError("need an automorphism of the quotient's parent")
-    nmask = 0
-    for q, c in enumerate(Q.coset_of):
-        if c == 0:
-            nmask |= 1 << q
-    for h in bit_indices(nmask):
-        if not nmask >> phi(h) & 1:
-            raise HomomorphismError("automorphism does not preserve the kernel")
-    fmap = tuple(Q.coset_of[phi(Q.reps[q])] for q in range(Q.order))
-    return Homomorphism(Q, Q, fmap, True)
-
-
 # -- subgroup machinery ------------------------------------------------------
 
 
@@ -566,8 +506,8 @@ class _Closure:
         return True
 
     def mask(self) -> int:
-        """The members as a bitmask, packed in one linear pass."""
-        return int(self.seen.translate(_MEMBER_DIGITS)[::-1], 2)
+        """The members as a bitmask."""
+        return _pack(self.seen)
 
 
 def subgroup_closure(G: FiniteGroup, seeds: Iterable[int]) -> ElementSet:
@@ -667,8 +607,16 @@ def agemo(G: FiniteGroup, i: int) -> ElementSet:
     return ElementSet(G, cl.mask(), True, True, tuple(cl.gens))
 
 
-def quotient_group(G: FiniteGroup, N: ElementSet) -> tuple[CosetGroup, Homomorphism]:
-    """Coset group G/N plus the projection; rejects non-normal N."""
+
+
+# -- quotients on their induced pc presentations -------------------------------
+
+
+def quotient_group(G: PcGroup, N: ElementSet) -> tuple[PcGroup, Homomorphism]:
+    """G/N and the projection; rejects an N that is not a normal subgroup.
+
+    The trivial N gives G itself with the identity map.  Any other N gives
+    quotient_pc_presentation(G, N, "<G>/N<|N|>")."""
     gens = list(N.gens) if N.gens is not None else list(N.indices())
     if not N.mask & 1:
         raise ValueError("N does not contain the identity")
@@ -677,88 +625,106 @@ def quotient_group(G: FiniteGroup, N: ElementSet) -> tuple[CosetGroup, Homomorph
         raise ValueError("N is not a subgroup")
     if not is_normal(G, N):
         raise ValueError("N is not normal")
-    Q = CosetGroup(G, N)
-    return Q, Homomorphism(G, Q, tuple(Q.coset_of))
+    if N.mask == 1:
+        return G, Homomorphism(G, G, tuple(range(G.order)), True)
+    return quotient_pc_presentation(G, N, f"{G.name}/N{len(N)}")
 
 
-# -- induced pc presentation for quotients -----------------------------------
+def quotient_pc_presentation(G: PcGroup, N: ElementSet, name: str) -> tuple[PcGroup, Homomorphism]:
+    """G/N as a PcGroup called name, on the pc presentation that G's induces
+    on the images of its pc generators, and the projection.  N must be a
+    normal subgroup (quotient_group checks that).
 
+    The block rule: G_{i+1} = <g_{i+1}, ..., g_{n-1}> is the first stride_i
+    indices, and the left coset u G_{i+1} of u = g_0^e_0 ... g_i^e_i is the
+    index block [b stride_i, (b+1) stride_i) of its prefix b, because u w
+    is a normal word for w in G_{i+1}.  So N G_{i+1} is the union of the
+    blocks whose prefix lies in P_i = {h // stride_i : h in N}, and
+    P_i = {b // m_{i+1} : b in P_{i+1}} gives them all from N in O(|N|).
 
-@dataclass
-class QuotientPresentation:
-    """A pc presentation of G/N induced on surviving generator images,
-    cross-checked against the coset construction."""
-
-    pres: PcPresentation
-    group: "PcGroup"
-    to_new: Callable[[int], int]  # parent element index -> induced group index
-
-
-def quotient_pc_presentation(G: PcGroup, N: ElementSet, name: str) -> QuotientPresentation:
-    """Derive a consistent pc presentation of G/N on the surviving images of
-    G's pc generators, and verify it presents the coset quotient via a
-    generator-image isomorphism."""
-    from .pc import make_presentation
-
-    Q, proj = quotient_group(G, N)
-    below = _Closure(Q)  # <images of g_{i+1}..g_{n-1}> in Q at step i
-    kept: list[tuple[int, int, int]] = []  # (parent index, image, relative order)
-    below_of_kept: list[bytes] = []  # members of below when each was kept
-    for i in range(G.presentation.ngens - 1, -1, -1):
-        gq = proj(G.gen_index(i))
-        m = 1
-        x = gq
-        while not below.seen[x]:
-            x = Q.mul(x, gq)
-            m += 1
+    The image of g_i has relative order m, the least e >= 1 in P_i (g_i^e
+    is the block e), or m_i when there is none; it is a generator of G/N
+    when m > 1.  An x in N G_i is factored level by level: its exponent f
+    on the image of g_i is the least f with g_i^-f x in N G_{i+1}, and
+    g_i^-f x goes on to the next level.  The tails are the factored g_i^m
+    and [g_j, g_i], and the projection extends the images of G's pc
+    generators one digit at a time (_extend).  No coset is enumerated.
+    """
+    pres, strides = G.presentation, G.strides
+    prefixes = [set(N.indices())]  # P_{n-1} first
+    for m in pres.orders[:0:-1]:
+        prefixes.append({b // m for b in prefixes[-1]})
+    prefixes.reverse()
+    kept = []  # (i, relative order of g_i's image) for the surviving g_i
+    for i, (m_i, p_i) in enumerate(zip(pres.orders, prefixes)):
+        m = next((e for e in range(1, m_i) if e in p_i), m_i)
         if m > 1:
-            kept.append((i, gq, m))
-            below_of_kept.append(bytes(below.seen))
-        below.add(gq)
-    kept.reverse()
-    below_of_kept.reverse()
+            kept.append((i, m))
 
-    def factor(q: int) -> tuple[int, ...]:
+    def factor(x: int) -> tuple[int, ...]:
         exps = []
-        for pos, (_, gq, m) in enumerate(kept):
-            below_seen = below_of_kept[pos]
-            for f in range(m):
-                rest = Q.mul(Q.pow(gq, -f), q) if f else q
-                if below_seen[rest]:
-                    exps.append(f)
-                    q = rest
-                    break
-            else:
-                raise AssertionError("factorization failed")
-        if q != 0:
-            raise AssertionError("factorization failed")
+        for i, _ in kept:
+            ginv, f = G.inv(strides[i]), 0
+            while x // strides[i] not in prefixes[i]:
+                x, f = G.mul(ginv, x), f + 1
+            exps.append(f)
         return tuple(exps)
 
-    names = tuple(G.presentation.names[i] for (i, _, _) in kept)
-    orders = tuple(m for (_, _, m) in kept)
-    power_tails: dict[int, Word] = {}
-    comm_tails: dict[tuple[int, int], Word] = {}
-    for pos, (_, gq, m) in enumerate(kept):
-        t = factor(Q.pow(gq, m))
-        word = tuple((k, e) for k, e in enumerate(t) if e)
-        if word:
-            power_tails[pos] = word
-    for pj in range(len(kept)):
-        for pi in range(pj):
-            c = Q.comm(kept[pj][1], kept[pi][1])
-            word = tuple((k, e) for k, e in enumerate(factor(c)) if e)
-            if word:
-                comm_tails[(pj, pi)] = word
-    pres = make_presentation(name, names, orders, power_tails, comm_tails)
-    group = PcGroup(pres)
+    def word(x: int) -> Word:
+        return tuple((k, f) for k, f in enumerate(factor(x)) if f)
 
-    def to_new_index(parent_elt: int) -> int:
-        exps = factor(proj(parent_elt))
-        return group.index_of(exps)
+    gens = [strides[i] for i, _ in kept]
+    comm_tails = {}
+    for j, a in enumerate(gens):
+        for i, b in enumerate(gens[:j]):
+            if w := word(G.comm(a, b)):
+                comm_tails[(j, i)] = w
+    Q = PcGroup(PcPresentation(
+        name,
+        tuple(pres.names[i] for i, _ in kept),
+        tuple(m for _, m in kept),
+        tuple(word(G.pow(g, m)) for g, (_, m) in zip(gens, kept)),
+        comm_tails,
+    ))
+    fmap = _extend(Q, pres.orders, [Q.index_of(factor(s)) for s in strides])
+    Q.generators = sorted({fmap[g] for g in G.generators})
+    return Q, Homomorphism(G, Q, tuple(fmap))
 
-    # generator-image isomorphism onto the coset construction
-    iso = hom_from_images(group, Q, [group.gen_index(i) for i in range(len(kept))],
-                          [gq for (_, gq, _) in kept])
-    if len(set(iso.full_map)) != Q.order:
-        raise AssertionError("induced presentation is not isomorphic to the coset quotient")
-    return QuotientPresentation(pres, group, to_new_index)
+
+def _extend(H: PcGroup, orders: Iterable[int], images: Iterable[int]) -> list[int]:
+    """The map sending the normal word g_0^e_0 ... g_{n-1}^e_{n-1} of a pc
+    group with these relative orders, at its index, to
+    images[0]^e_0 ... images[n-1]^e_{n-1} in H.
+
+    It is built one digit at a time: the map on the words in g_0..g_i is the
+    map on g_0..g_{i-1} times images[i]^e for each e, and a whole column is
+    multiplied by images[i] by walking it through that element's step
+    tables, one lookup per element, or per element and digit when
+    images[i] is not a pc generator of H."""
+    fmap = [0]
+    for m, img in zip(orders, images):
+        cols = [fmap]
+        for _ in range(1, m):
+            col = cols[-1]
+            for step in H.walks[img]:
+                col = [step[a] for a in col]
+            cols.append(col)
+        fmap = [a for row in zip(*cols) for a in row]
+    return fmap
+
+
+def induced_automorphism(proj: Homomorphism, phi: Homomorphism) -> Homomorphism:
+    """The automorphism of Q = proj.target that an automorphism phi of
+    G = proj.source induces through the projection proj: G -> Q.
+
+    Well-defined exactly when phi maps the kernel of proj into itself,
+    which one scan of proj checks; the induced map is then automatically
+    a bijective homomorphism.  Each pc generator of Q, the image of some
+    a in G, goes to proj(phi(a)), and _extend builds the rest."""
+    G, Q, fmap, pmap = proj.source, proj.target, proj.full_map, phi.full_map
+    if not phi.is_automorphism or phi.source is not G:
+        raise HomomorphismError("need an automorphism of the projection's source")
+    if any(fmap[pmap[h]] for h, q in enumerate(fmap) if not q):
+        raise HomomorphismError("automorphism does not preserve the kernel")
+    images = [fmap[pmap[fmap.index(g)]] for g in Q.strides]
+    return Homomorphism(Q, Q, tuple(_extend(Q, Q.presentation.orders, images)), True)

@@ -122,6 +122,29 @@ def brute_is_generating(G, x: int, y: int) -> bool:
     return len(brute_closure(G, [x, y])) == G.order
 
 
+def brute_quotient(G, N) -> tuple[list[int], list[int]]:
+    """(coset_of, reps) for G/N: each element's coset id and each coset's
+    least element, found by multiplying each element not yet placed by
+    every member of N, as the coset quotients were built before quotients
+    became pc groups.  Coset 0 is N."""
+    members = [h for h in range(G.order) if h in N]
+    coset_of, reps = [-1] * G.order, []
+    for a in range(G.order):
+        if coset_of[a] < 0:
+            for h in members:
+                coset_of[G.mul(a, h)] = len(reps)
+            reps.append(a)
+    return coset_of, reps
+
+
+def brute_induced(G, coset_of, reps, phi):
+    """The coset map c -> coset of phi(reps[c]) that the automorphism phi of
+    G induces on G/N, or None when phi moves a member of N out of N."""
+    if any(coset_of[phi(h)] for h in range(G.order) if coset_of[h] == 0):
+        return None
+    return [coset_of[phi(r)] for r in reps]
+
+
 def brute_search_classes(G, theta=None):
     """(total, least, inverted) over every ordered pair (x, y) with <x, y> = G.
 

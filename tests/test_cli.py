@@ -308,6 +308,34 @@ def test_series_from_above_class_exit_2(workdir, capsys, family, args, weights, 
     assert captured.err == f"error: {message}; give --to for trivial terms\n"
 
 
+_H3C2 = """pcgroup h3c2
+gen x order 3
+gen y order 3
+gen z order 3
+gen c order 2
+comm y x = z
+distinguished x = x c
+distinguished y = y
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["series"], "h3c2 is not a p-group: its series has no index-p refinement"),
+        (["verify", "--paper-structure"], "no generating-pair recipe: h3c2 is not a p-group"),
+    ],
+)
+def test_nilpotent_non_p_group_exit_2(workdir, capsys, argv, message):
+    # Heisenberg(3) x C2 is nilpotent but not a p-group: no index-p
+    # refinement and no recipe pairs
+    (workdir / "h3c2.pcp").write_text(_H3C2)
+    assert main([argv[0], "--group", "h3c2.pcp", *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_series_empty_default_range_and_explicit_trivial_terms(workdir, capsys):
     # without --from the abelian group's range 2..1 is empty and valid; past
     # the class an explicit --to gives the trivial terms

@@ -9,15 +9,17 @@ from oracle import (
     brute_closure,
     brute_commutator_subgroup,
     brute_frattini,
+    brute_induced,
     brute_normal_closure,
     brute_order,
+    brute_quotient,
     brute_sigma,
     fold_normal_closure,
     fold_subgroup_closure,
 )
 
 from bforge.errors import CapExceeded, HomomorphismError
-from bforge.families import build_abelian, build_case_i, build_case_ii
+from bforge.families import build_abelian, build_case_i, build_case_ii, build_negative
 from bforge.groups import (
     BYTES_PER_ELEMENT,
     PcGroup,
@@ -33,7 +35,7 @@ from bforge.groups import (
     subgroup_closure,
 )
 from bforge.nq import TriangleParams, triangle_quotient
-from bforge.pc import Collector, make_presentation
+from bforge.pc import Collector, consistency_check, make_presentation
 
 
 def test_bit_indices():
@@ -265,8 +267,8 @@ CLOSURE_GROUPS = ("neg1", "case-ii-1", "case-iii-2", "c6c6", "case-iii-2/gamma3"
 @pytest.fixture(scope="module")
 def closure_groups(neg1, g31, g22):
     lcs = lower_central_series(g22.group)
-    coset_group, _ = quotient_group(g22.group, lcs.terms[2])
-    groups = [neg1.group, g31.group, g22.group, build_abelian(6).group, coset_group]
+    quotient, _ = quotient_group(g22.group, lcs.terms[2])
+    groups = [neg1.group, g31.group, g22.group, build_abelian(6).group, quotient]
     return dict(zip(CLOSURE_GROUPS, groups))
 
 
@@ -426,6 +428,92 @@ def test_quotient_orders_divide(g31):
         assert G.element_order(g) % Q.element_order(proj(g)) == 0
 
 
+def _paper_case(build, seeds, rotate=False):
+    # phi is theta, or with rotate the order-4 automorphism x -> y -> x^-1,
+    # which moves normal subgroups such as <x>^G and is not its own inverse
+    def make():
+        pg = build()
+        G, x, y = pg.group, pg.x, pg.y
+        phi = hom_from_images(G, G, [x, y], [y, G.inv(x)]) if rotate else pg.theta
+        return G, phi, [s(G, x, y) for s in seeds]
+
+    return make
+
+
+def _h3c2_case():
+    # Heisenberg(3) x C2, not a p-group; phi inverts x and y
+    G = PcGroup(make_presentation("h3c2", ("c", "x", "y", "z"), (2, 3, 3, 3), {}, {(2, 1): ((3, 1),)}))
+    c, x, y, z = (G.gen_index(i) for i in range(4))
+    phi = hom_from_images(G, G, [c, x, y, z], [c, G.inv(x), G.inv(y), z])
+    return G, phi, [c, z, x, G.mul(c, z)]
+
+
+def _c16_case():
+    # C16 as a chain of order-2 generators with power tails; phi inverts a
+    pres = make_presentation("c16", ["a", "b", "c", "d"], [2, 2, 2, 2], {0: [(1, 1)], 1: [(2, 1)], 2: [(3, 1)]})
+    G = PcGroup(pres)
+    a = G.gen_index(0)
+    return G, hom_from_images(G, G, [a], [G.inv(a)]), [G.gen_index(i) for i in (1, 2, 3)]
+
+
+QUOTIENT_CASES = {
+    "neg1": _paper_case(lambda: build_negative(1), [
+        lambda G, x, y: x, lambda G, x, y: G.mul(x, y), lambda G, x, y: G.comm(y, x),
+        lambda G, x, y: G.pow(G.mul(x, y), 3),
+    ]),
+    # relative orders 25: N = <x^5>^G lowers the image of x to order 5
+    "case-i-5-2": _paper_case(lambda: build_case_i(5, 2), [
+        lambda G, x, y: G.pow(x, 5), lambda G, x, y: G.comm(y, x),
+        lambda G, x, y: G.pow(G.comm(y, x), 5), lambda G, x, y: G.mul(x, G.pow(y, 5)),
+    ], rotate=True),
+    "c6c6": _paper_case(lambda: build_abelian(6), [
+        lambda G, x, y: x, lambda G, x, y: G.pow(x, 2), lambda G, x, y: G.pow(x, 3),
+        lambda G, x, y: G.mul(y, G.pow(x, 2)),
+    ], rotate=True),
+    "h3c2": _h3c2_case,
+    "c16": _c16_case,
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENT_CASES))
+def test_quotient_matches_coset_oracle(name):
+    # the induced pc presentation against the coset construction, for N
+    # trivial, N = G, the lower central terms and normal closures of seeds
+    G, phi, seeds = QUOTIENT_CASES[name]()
+    normals = [G.trivial_set(), G.as_set(), *lower_central_series(G).terms[1:-1]]
+    normals += [normal_closure(G, [s]) for s in seeds]
+    rng = random.Random(29)
+    pairs = (
+        [(a, b) for a in range(G.order) for b in range(G.order)]
+        if G.order <= 100
+        else [(rng.randrange(G.order), rng.randrange(G.order)) for _ in range(3000)]
+    )
+    lowered, moved = False, 0
+    for N in normals:
+        Q, proj = quotient_group(G, N)
+        assert consistency_check(Q.presentation) is None
+        assert Q.order * len(N) == G.order
+        assert proj.kernel().mask == N.mask
+        assert all(proj(G.mul(a, b)) == Q.mul(proj(a), proj(b)) for a, b in pairs)
+        coset_of, reps = brute_quotient(G, N)
+        image = [proj(r) for r in reps]
+        assert len(set(image)) == Q.order == len(reps)
+        assert all(proj(a) == image[coset_of[a]] for a in range(G.order))
+        induced = brute_induced(G, coset_of, reps, phi)
+        if induced is None:
+            moved += 1
+            with pytest.raises(HomomorphismError, match="does not preserve the kernel"):
+                induced_automorphism(proj, phi)
+        else:
+            thq = induced_automorphism(proj, phi)
+            assert thq.is_automorphism
+            assert [thq(q) for q in image] == [image[c] for c in induced]
+        pres = G.presentation
+        lowered |= any(m < pres.orders[pres.index(nm)] for nm, m in zip(Q.presentation.names, Q.presentation.orders))
+    assert lowered == (name == "case-i-5-2")
+    assert bool(moved) == (name in ("case-i-5-2", "c6c6"))
+
+
 # -- homomorphisms ----------------------------------------------------------------
 
 
@@ -495,21 +583,21 @@ def test_quotient_pc_presentation_with_power_tails():
     )
     G = PcGroup(pres)
     N = subgroup_closure(G, [G.gen_index(3)])
-    qp = quotient_pc_presentation(G, N, "c8")
-    assert qp.pres.order() == 8
-    assert qp.pres.names == ("a", "b", "c")
-    assert qp.pres.power_tails[0] == ((1, 1),)
-    assert qp.pres.power_tails[2] == ()
-    assert consistency_check(qp.pres) is None
-    a8 = qp.to_new(G.gen_index(0))
-    assert qp.group.element_order(a8) == 8
+    Q, proj = quotient_pc_presentation(G, N, "c8")
+    assert Q.presentation.order() == 8
+    assert Q.presentation.names == ("a", "b", "c")
+    assert Q.presentation.power_tails[0] == ((1, 1),)
+    assert Q.presentation.power_tails[2] == ()
+    assert consistency_check(Q.presentation) is None
+    a8 = proj(G.gen_index(0))
+    assert Q.element_order(a8) == 8
 
 
 def test_induced_automorphism_on_quotient(g31):
     G = g31.group
     N = normal_closure(G, [g31.named["t"]])
     Q, proj = quotient_group(G, N)
-    thq = induced_automorphism(Q, g31.theta)
+    thq = induced_automorphism(proj, g31.theta)
     assert thq.is_automorphism
     assert thq(proj(g31.x)) == Q.inv(proj(g31.x))
     rng = random.Random(23)
