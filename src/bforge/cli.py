@@ -457,7 +457,7 @@ def cmd_series(args) -> int:
                 "theta_invariant": series.theta_invariant[pos],
                 "index_over_next": str(series.indices[pos]) if pos < len(series.indices) else None,
             }
-            if pairs is not None and args.check_quotients:
+            if pairs is not None:
                 _, proj = quotient_group(G, term)
                 _, strong = quotient_strongly_real(proj, pg.theta, *pairs, args.sigma_cap)
                 entry["quotient_strongly_real"] = strong
@@ -550,7 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--to", dest="to_weight", type=int)
     c.add_argument("--n1", type=int)
     c.add_argument("--n2", type=int)
-    c.add_argument("--no-check-quotients", dest="check_quotients", action="store_false")
     c.add_argument("--sigma-cap", type=int, default=10**4)
     c.add_argument("--max-order", type=int, default=10**6)
     c.set_defaults(fn=cmd_series)

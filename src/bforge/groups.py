@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 import resource
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Iterator, Optional
 
 from .errors import CapExceeded, HomomorphismError
@@ -229,13 +230,12 @@ class FiniteGroup:
         return len(lower_central_series(self).terms) - 1
 
     def mark_generators(self, gens: list[int]) -> None:
-        """Replace the marked generating set; verifies it still generates
-        (orbit and series machinery silently depend on that)."""
-        cl = _Closure(self)
-        for g in gens:
-            cl.add(g)
-        if len(cl.members) != self.order:
-            raise ValueError("marked elements do not generate the group")
+        """Replace the marked generating set; sift_pairs verifies that it
+        still generates (orbit and series machinery silently depend on that)."""
+        try:
+            sift_pairs(self, self, gens, gens)
+        except HomomorphismError:
+            raise ValueError("marked elements do not generate the group") from None
         self.generators = list(gens)
 
     def frattini_lines(self) -> Optional[list[int]]:
@@ -380,32 +380,6 @@ class Homomorphism:
         return ElementSet(self.source, _pack(bytes(map((0).__eq__, self.full_map))), True, True)
 
 
-def _spanning_words(G: FiniteGroup, gens: list[int]) -> tuple[list[int], list[int], list[int]]:
-    """BFS spanning tree of G under right multiplication by gens.
-
-    Returns (visit order, parent element, generator position used).
-    """
-    parent = [-1] * G.order
-    via = [-1] * G.order
-    seen = [False] * G.order
-    seen[0] = True
-    order_out = [0]
-    head = 0
-    while head < len(order_out):
-        x = order_out[head]
-        head += 1
-        for pos, s in enumerate(gens):
-            y = G.mul(x, s)
-            if not seen[y]:
-                seen[y] = True
-                parent[y] = x
-                via[y] = pos
-                order_out.append(y)
-    if len(order_out) != G.order:
-        raise HomomorphismError("given elements do not generate the source group")
-    return order_out, parent, via
-
-
 def _eval_word(H: FiniteGroup, images: list[int], word: Word) -> int:
     x = 0
     for g, e in word:
@@ -413,47 +387,83 @@ def _eval_word(H: FiniteGroup, images: list[int], word: Word) -> int:
     return x
 
 
-def hom_from_images(
-    G: PcGroup,
-    H: FiniteGroup,
-    gens: list[int],
-    images: list[int],
-) -> Homomorphism:
+def sift_pairs(G: PcGroup, H: FiniteGroup, gens: list[int], images: list[int]) -> list[int]:
+    """The images in H of G's pc generators under gens[k] -> images[k], by
+    sifting the pairs (g, image) into an induced pc sequence of <gens> that
+    carries the images (Holt, Eick and O'Brien, Handbook of Computational
+    Group Theory, 2005, section 8.3).
+
+    table[d] = (u, h, e): u has depth d and leading exponent e | m_d (the
+    identity, e = m_d, while d is empty).  A pair of leading exponent f at
+    depth d sifts on by (u, h)^(-f/e) when e | f; else x^b u^-t, of leading
+    exponent gcd(e, f), replaces (u, h), which is queued again.  Each new
+    entry queues its m_d/e-th power and its commutators with the others.
+    Raises unless every e ends at 1 (gens generate G) and every pair sifts
+    to (1, 1) (well defined); then reduces bottom-up to (g_i, image of g_i).
+    G needs mul, pow, comm, vec, presentation.orders; H mul, inv, pow, comm.
+    """
+    orders = G.presentation.orders
+    table = [(0, 0, m) for m in orders]
+    queue = list(zip(gens, images))
+    well_defined = True
+    while queue:
+        x, k = queue.pop()
+        while x:
+            vec = G.vec(x)
+            d = next(i for i, f in enumerate(vec) if f)
+            f = vec[d]
+            u, h, e = table[d]
+            if f % e:
+                g = gcd(e, f)
+                b = pow(f // g, -1, e // g)
+                t = (b * f - g) // e
+                queue.append((u, h))
+                u, h, e = G.mul(G.pow(x, b), G.pow(u, -t)), H.mul(H.pow(k, b), H.pow(h, -t)), g
+                table[d] = (u, h, e)
+                queue.append((G.pow(u, orders[d] // e), H.pow(h, orders[d] // e)))
+                queue += [(G.comm(u, v), H.comm(h, w)) for v, w, _ in table if v and v != u]
+            x, k = G.mul(x, G.pow(u, -(f // e))), H.mul(k, H.pow(h, -(f // e)))
+        well_defined = well_defined and not k
+    if any(e != 1 for _, _, e in table):
+        raise HomomorphismError("given elements do not generate the source group")
+    if not well_defined:
+        raise HomomorphismError("not well-defined: a relation among the given elements fails on the images")
+    pc_imgs = [0] * len(orders)
+    for i in range(len(orders) - 1, -1, -1):
+        u, h, _ = table[i]  # u = g_i t with t in G_{i+1}, and h = image of u
+        tail = tuple((j, f) for j, f in enumerate(G.vec(u)) if j > i and f)
+        pc_imgs[i] = H.mul(h, H.inv(_eval_word(H, pc_imgs, tail)))
+    return pc_imgs
+
+
+def hom_from_images(G: PcGroup, H: PcGroup, gens: list[int], images: list[int]) -> Homomorphism:
     """Extend gens -> images to the unique homomorphism, or fail.
 
-    Well-definedness is verified against the defining relations of the
-    source presentation only (never a full multiplication check); the images
-    must generate the target.
+    sift_pairs decides that gens generate G and that the map is well
+    defined, and gives the images of G's pc generators; they are checked
+    against the relations of G's presentation, _extend builds the full map
+    from them by column walks, and it must send each of gens to its image.
+    The image has order |G| / |kernel|, so counting 0 in the full map
+    decides surjectivity; a map of G onto G is an automorphism.
     """
     if len(gens) != len(images):
         raise ValueError("gens/images length mismatch")
-    order_out, parent, via = _spanning_words(G, gens)
-    fmap = [0] * G.order
-    for y in order_out[1:]:
-        fmap[y] = H.mul(fmap[parent[y]], images[via[y]])
-    pres = G.presentation
-    n = pres.ngens
-    pc_imgs = [fmap[G.gen_index(i)] for i in range(n)]
-    for i in range(n):
-        lhs = H.pow(pc_imgs[i], pres.orders[i])
-        rhs = _eval_word(H, pc_imgs, pres.power_tails[i])
-        if lhs != rhs:
-            raise HomomorphismError(
-                f"not well-defined: relation {pres.names[i]}^{pres.orders[i]} violated"
-            )
-    for j in range(n):
-        for i in range(j):
-            a, b = pc_imgs[j], pc_imgs[i]
-            lhs = H.mul(H.mul(H.inv(a), H.inv(b)), H.mul(a, b))
-            rhs = _eval_word(H, pc_imgs, pres.comm_tails.get((j, i), ()))
-            if lhs != rhs:
-                raise HomomorphismError(
-                    f"not well-defined: relation [{pres.names[j]}, {pres.names[i]}] violated"
-                )
-    if len(subgroup_closure(H, images)) != H.order:
+    pc_imgs = sift_pairs(G, H, gens, images)
+    pres, names, n = G.presentation, G.presentation.names, G.presentation.ngens
+    rels = [(f"{names[i]}^{m}", H.pow(pc_imgs[i], m), pres.power_tails[i]) for i, m in enumerate(pres.orders)]
+    rels += [
+        (f"[{names[j]}, {names[i]}]", H.comm(pc_imgs[j], pc_imgs[i]), pres.comm_tails.get((j, i), ()))
+        for j in range(n) for i in range(j)
+    ]
+    for name, lhs, tail in rels:
+        if lhs != _eval_word(H, pc_imgs, tail):
+            raise HomomorphismError(f"not well-defined: relation {name} violated")
+    fmap = _extend(H, pres.orders, pc_imgs)
+    if any(fmap[g] != h for g, h in zip(gens, images)):
+        raise HomomorphismError("not well-defined: a given element is not sent to its image")
+    if G.order != H.order * fmap.count(0):
         raise HomomorphismError("not surjective: images do not generate the target")
-    bijective = H.order == G.order and len(set(fmap)) == G.order
-    return Homomorphism(G, H, tuple(fmap), H is G and bijective)
+    return Homomorphism(G, H, tuple(fmap), H is G)
 
 
 # -- subgroup machinery ------------------------------------------------------
@@ -605,8 +615,6 @@ def agemo(G: FiniteGroup, i: int) -> ElementSet:
     for g in range(G.order):
         cl.add(G.pow(g, e))
     return ElementSet(G, cl.mask(), True, True, tuple(cl.gens))
-
-
 
 
 # -- quotients on their induced pc presentations -------------------------------

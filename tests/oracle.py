@@ -206,3 +206,36 @@ def assert_central_suffix_agrees(pres, seed, rounds, same):
         assert same(fast.inv(cu), full.inv(cu))
         e = rng.randrange(-30, 31)
         assert same(fast.power(cu, e), full.power(cu, e))
+
+
+def bfs_hom(G, H, gens, images):
+    """(full map, is_automorphism) of the homomorphism gens -> images.
+
+    The map is filled along a breadth-first spanning tree of G under right
+    multiplication by gens, one H.mul per element, as hom_from_images built
+    it before it sifted, and every edge is checked on the way (the image of
+    x s is the image of x times that of s, for every x and generator s), so
+    the map is well defined exactly when no edge fails.  Raises
+    HomomorphismError with hom_from_images's leading words, checked in this
+    order: "given elements do not generate", "not well-defined", "not
+    surjective" (brute_closure of the images).
+    """
+    from bforge.errors import HomomorphismError
+
+    fmap = [None] * G.order
+    fmap[0] = 0
+    visit, consistent = [0], True
+    for x in visit:  # grows while it runs
+        for s, h in zip(gens, images):
+            y, img = G.mul(x, s), H.mul(fmap[x], h)
+            if fmap[y] is None:
+                fmap[y] = img
+                visit.append(y)
+            consistent = consistent and fmap[y] == img
+    if len(visit) != G.order:
+        raise HomomorphismError("given elements do not generate the source group")
+    if not consistent:
+        raise HomomorphismError("not well-defined: an edge of the spanning graph fails")
+    if len(brute_closure(H, images)) != H.order:
+        raise HomomorphismError("not surjective: images do not generate the target")
+    return tuple(fmap), H is G and len(set(fmap)) == G.order
