@@ -440,6 +440,7 @@ def cmd_series(args) -> int:
     if args.from_weight is not None and lo > hi:
         raise ValueError(f"--from {lo} is above the group's class {hi}; give --to for trivial terms")
     terms_json = []
+    verdicts: dict[int, bool] = {}  # strongly real verdict of G/N by N's mask
     pairs = None
     if pg.family != "abelian" and pg.p:
         try:
@@ -458,9 +459,10 @@ def cmd_series(args) -> int:
                 "index_over_next": str(series.indices[pos]) if pos < len(series.indices) else None,
             }
             if pairs is not None:
-                _, proj = quotient_group(G, term)
-                _, strong = quotient_strongly_real(proj, pg.theta, *pairs, args.sigma_cap)
-                entry["quotient_strongly_real"] = strong
+                if term.mask not in verdicts:  # gamma_(i+1) ends weight i and starts weight i+1
+                    _, proj = quotient_group(G, term)
+                    verdicts[term.mask] = quotient_strongly_real(proj, pg.theta, *pairs, args.sigma_cap)[1]
+                entry["quotient_strongly_real"] = verdicts[term.mask]
             terms_json.append(entry)
     payload = {
         "version": __version__,

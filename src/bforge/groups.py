@@ -27,8 +27,9 @@ _MEMBER_DIGITS = bytes.maketrans(b"\0\1", b"01")  # membership bytes -> binary d
 # groups.pcgroup_build.over_table_cap counter.
 TABLE_CAP = 1024
 DEFAULT_ORDER_CAP = 10**6
-# Rough memory a PcGroup takes per element once built (about 620 bytes
-# measured at order 59049), before any cache fills.
+# Rough memory a PcGroup takes per element once built, before any cache
+# fills: the build grows RSS by about 510 bytes per element at order 59049
+# and 530 at order 390625.  Kept at 1 KB, since the caches come on top.
 BYTES_PER_ELEMENT = 1024
 
 
@@ -173,13 +174,12 @@ class FiniteGroup:
         """(class mask per class id, class id per element, class reps).
 
         Classes are orbits under conjugation by the marked generators, which
-        generate the group; computed once and cached.
+        generate the group; computed once and cached.  Each orbit is kept
+        as a list and packed into its mask once, from a bytearray spanning
+        the orbit's index range.
         """
         if self._classes is None:
-            tabs = []
-            for g in self.generators:
-                ig = self.inv(g)
-                tabs.append([self.mul(self.mul(ig, x), g) for x in range(self.order)])
+            tabs = [self.conjugation_table(g) for g in self.generators]
             class_id = [-1] * self.order
             masks: list[int] = []
             reps: list[int] = []
@@ -188,17 +188,17 @@ class FiniteGroup:
                     continue
                 cid = len(masks)
                 class_id[a] = cid
-                mask = 1 << a
-                stack = [a]
-                while stack:
-                    x = stack.pop()
+                orbit = [a]
+                for x in orbit:  # grows while it runs
                     for tab in tabs:
                         y = tab[x]
                         if class_id[y] < 0:
                             class_id[y] = cid
-                            mask |= 1 << y
-                            stack.append(y)
-                masks.append(mask)
+                            orbit.append(y)
+                members = bytearray(max(orbit) - a + 1)  # a is the orbit's least index
+                for y in orbit:
+                    members[y - a] = 1
+                masks.append(_pack(members) << a)
                 reps.append(a)
             self._classes = (masks, class_id, reps)
         return self._classes
@@ -260,7 +260,7 @@ class FiniteGroup:
                 lid = min(members)
                 for m in members:
                     line_of_coset[m] = lid
-            self._lines = [line_of_coset[proj(g)] for g in range(self.order)]
+            self._lines = [line_of_coset[q] for q in proj.full_map]
         return self._lines or None
 
 
@@ -268,12 +268,15 @@ class PcGroup(FiniteGroup):
     """Group enumerated from a consistent pc presentation.
 
     Right-multiplication tables by generator powers back all arithmetic:
-    a * b walks a through the tables of b's normal-form digits, listed once
-    per element, so memory stays linear in |G| at every order.  The tables
-    are built from the last generator up by lookups into the tables already
-    built (see _build_gen_step); nothing is collected symbolically.  A
-    group whose order times BYTES_PER_ELEMENT exceeds memory_limit() is
-    refused with CapExceeded before anything is built.
+    a * b walks a through the tables of b's nonzero normal-form digits
+    (walk(b), memoised for the elements used as right factors), so memory
+    stays linear in |G| at every order.  Whole-group tables (the step
+    tables, maps, conjugation tables, cosets) walk whole columns of
+    indices instead, one lookup per index and digit (_extend).  The step
+    tables are built from the last generator up that way (see
+    _build_gen_step); nothing is collected symbolically.  A group whose
+    order times BYTES_PER_ELEMENT exceeds memory_limit() is refused with
+    CapExceeded before anything is built.
     """
 
     def __init__(self, pres: PcPresentation, cap: int = DEFAULT_ORDER_CAP):
@@ -299,41 +302,58 @@ class PcGroup(FiniteGroup):
     # construction ----------------------------------------------------------
 
     def _build_gen_step(self) -> None:
-        """Right-multiplication tables by g_i^e, and each element's walk,
-        from the last generator up by lookups alone (consistent presentations).
+        """Right-multiplication tables by g_i^e, from the last generator up
+        by column walks alone (consistent presentations).
 
         G_i = <g_i, ..., g_{n-1}> is the first |G_i| indices, and w = g_i^e s
         in it (s in G_{i+1}) has w g_i = g_i^(e+1) s^(g_i), with the power
-        tail for g_i^(m_i).  Conjugation by g_i sends s = g_j s' (g_j leading)
-        to g_j [g_j, g_i] s'^(g_i): one walk through G_{i+1}'s tables.  The
-        G_i table is broadcast over the prefixes.  walks[b] lists the tables
-        gen_step[i][e] of b's nonzero digits e, in order."""
+        tail t for g_i^(m_i), so w g_i = t s^(g_i) when e = m_i - 1.
+        Conjugation by g_i is the automorphism of G_{i+1} sending g_j to
+        g_j [g_j, g_i], so s -> s^(g_i) and s -> t s^(g_i) are _extend
+        calls on G_{i+1}'s tables, which are complete by then.  The G_i
+        table is broadcast over the prefixes."""
         pres, strides = self.presentation, self.strides
-        steps: list[list[Optional[list[int]]]] = []
-        self.walks: list[tuple[list[int], ...]] = [()]  # of G_{i+1}: self.mul works there
+        self._walks: list[Optional[tuple[list[int], ...]]] = [None] * self.order
+        self._walks[0] = ()
+        self.gen_step: list[list[Optional[list[int]]]] = [[]] * pres.ngens  # G_{i+1} reads only past i
         for i in range(pres.ngens - 1, -1, -1):
-            m, st = pres.orders[i], strides[i]
-            conj = [0] * st  # s -> s^(g_i) on G_{i+1}
-            for j in range(pres.ngens - 1, i, -1):
-                cj = self.element_of_word(((j, 1),) + pres.comm_tails.get((j, i), ()))
-                for s in range(strides[j], pres.orders[j] * strides[j]):
-                    conj[s] = self.mul(cj, conj[s - strides[j]])
+            m, st, below = pres.orders[i], strides[i], pres.orders[i + 1:]
+            conj_images = [
+                self.element_of_word(((j, 1),) + pres.comm_tails.get((j, i), ()))
+                for j in range(i + 1, pres.ngens)
+            ]
+            conj = _extend(self, below, conj_images)  # s -> s^(g_i) on G_{i+1}
             tail = self.element_of_word(pres.power_tails[i])
             local = [hi + c for hi in range(st, m * st, st) for c in conj]
-            local += [self.mul(tail, c) for c in conj]
+            local += _extend(self, below, conj_images, tail)
             step1 = [hi + t for hi in range(0, self.order, m * st) for t in local]
             tabs: list[Optional[list[int]]] = [None, step1]
             for _ in range(2, m):
                 tabs.append([step1[x] for x in tabs[-1]])  # shares step1's ints
-            steps.insert(0, tabs)
-            digit = ((),) + tuple((t,) for t in tabs[1:])
-            self.walks = [d + w for d in digit for w in self.walks]  # index order
-        self.gen_step = steps
+            self.gen_step[i] = tabs
 
     # arithmetic -------------------------------------------------------------
 
+    def conjugation_table(self, g: int) -> list[int]:
+        """[g^-1 x g for every x]: conjugation by g is the automorphism
+        sending each pc generator g_k to g^-1 g_k g, so the table is
+        extended from those images by column walks (_extend)."""
+        return _extend(self, self.presentation.orders, [self.conjugate(s, g) for s in self.strides])
+
+    def walk(self, b: int) -> tuple[list[int], ...]:
+        """The step tables gen_step[i][e] of b's nonzero digits e, in order:
+        a * b is a walked through them.  Memoised per element on first use,
+        from b's leading digit and the walk of the rest of b."""
+        w = self._walks[b]
+        if w is None:
+            for st, tabs in zip(self.strides, self.gen_step):
+                if b >= st:
+                    w = self._walks[b] = (tabs[b // st],) + self.walk(b % st)
+                    break
+        return w
+
     def mul(self, a: int, b: int) -> int:
-        for step in self.walks[b]:
+        for step in self._walks[b] or self.walk(b):  # the memo first: search calls this per pair
             a = step[a]
         return a
 
@@ -477,11 +497,13 @@ class _Closure:
     right cosets of the old H: first H s, then for each new coset rep r and
     each kept generator g (s included) an unseen r g starts the coset H (r g).
     The union is then closed under right multiplication by every kept
-    generator, so it is the subgroup.  Cost: one mul per new element plus
-    one per (coset, generator) pair, however many generators came before.
+    generator, so it is the subgroup.  A coset H r is the member list walked
+    through G.walk(r) as whole columns.  Cost: one lookup per new element
+    and digit of its rep plus one mul per (coset, generator) pair, however
+    many generators came before.
     """
 
-    def __init__(self, G: FiniteGroup):
+    def __init__(self, G: PcGroup):
         self.group = G
         self.seen = bytearray(G.order)
         self.seen[0] = 1
@@ -493,14 +515,16 @@ class _Closure:
         seen = self.seen
         if seen[s]:
             return False
-        mul = self.group.mul
+        mul, walk = self.group.mul, self.group.walk
         members = self.members
         old = members[:]
         gens = self.gens
         gens.append(s)
 
         def start_coset(r: int) -> None:
-            coset = [mul(h, r) for h in old]
+            coset = old
+            for step in walk(r):
+                coset = [step[h] for h in coset]
             for y in coset:
                 seen[y] = 1
             members.extend(coset)
@@ -699,22 +723,23 @@ def quotient_pc_presentation(G: PcGroup, N: ElementSet, name: str) -> tuple[PcGr
     return Q, Homomorphism(G, Q, tuple(fmap))
 
 
-def _extend(H: PcGroup, orders: Iterable[int], images: Iterable[int]) -> list[int]:
+def _extend(H: PcGroup, orders: Iterable[int], images: Iterable[int], start: int = 0) -> list[int]:
     """The map sending the normal word g_0^e_0 ... g_{n-1}^e_{n-1} of a pc
     group with these relative orders, at its index, to
-    images[0]^e_0 ... images[n-1]^e_{n-1} in H.
+    start images[0]^e_0 ... images[n-1]^e_{n-1} in H.
 
     It is built one digit at a time: the map on the words in g_0..g_i is the
     map on g_0..g_{i-1} times images[i]^e for each e, and a whole column is
-    multiplied by images[i] by walking it through that element's step
-    tables, one lookup per element, or per element and digit when
-    images[i] is not a pc generator of H."""
-    fmap = [0]
+    multiplied by images[i] by walking it through H.walk(images[i]), one
+    lookup per element, or per element and digit when images[i] is not a
+    pc generator of H."""
+    fmap = [start]
     for m, img in zip(orders, images):
         cols = [fmap]
+        walk = H.walk(img)
         for _ in range(1, m):
             col = cols[-1]
-            for step in H.walks[img]:
+            for step in walk:
                 col = [step[a] for a in col]
             cols.append(col)
         fmap = [a for row in zip(*cols) for a in row]
@@ -725,14 +750,15 @@ def induced_automorphism(proj: Homomorphism, phi: Homomorphism) -> Homomorphism:
     """The automorphism of Q = proj.target that an automorphism phi of
     G = proj.source induces through the projection proj: G -> Q.
 
-    Well-defined exactly when phi maps the kernel of proj into itself,
-    which one scan of proj checks; the induced map is then automatically
-    a bijective homomorphism.  Each pc generator of Q, the image of some
-    a in G, goes to proj(phi(a)), and _extend builds the rest."""
-    G, Q, fmap, pmap = proj.source, proj.target, proj.full_map, phi.full_map
+    It is the homomorphism psi of Q with psi(proj(g)) = proj(phi(g)) for
+    G's pc generators g, built by hom_from_images.  psi exists exactly when
+    phi maps the kernel of proj into itself: then it is well defined, and
+    if it exists, psi proj and proj phi agree on generators of G, so
+    proj(phi(kernel)) = psi(1) = 1.  It is then bijective, since phi is."""
+    G, Q = proj.source, proj.target
     if not phi.is_automorphism or phi.source is not G:
         raise HomomorphismError("need an automorphism of the projection's source")
-    if any(fmap[pmap[h]] for h, q in enumerate(fmap) if not q):
-        raise HomomorphismError("automorphism does not preserve the kernel")
-    images = [fmap[pmap[fmap.index(g)]] for g in Q.strides]
-    return Homomorphism(Q, Q, tuple(_extend(Q, Q.presentation.orders, images)), True)
+    try:
+        return hom_from_images(Q, Q, [proj(s) for s in G.strides], [proj(phi(s)) for s in G.strides])
+    except HomomorphismError:
+        raise HomomorphismError("automorphism does not preserve the kernel") from None

@@ -239,3 +239,14 @@ def bfs_hom(G, H, gens, images):
     if len(brute_closure(H, images)) != H.order:
         raise HomomorphismError("not surjective: images do not generate the target")
     return tuple(fmap), H is G and len(set(fmap)) == G.order
+
+
+def eager_walks(G):
+    """Every element's walk (the step tables of its nonzero digits, in
+    order), built for the whole group at once from the last generator up,
+    as PcGroup filled it before walks were memoised on first use."""
+    walks = [()]
+    for tabs in reversed(G.gen_step):
+        digit = ((),) + tuple((t,) for t in tabs[1:])
+        walks = [d + w for d in digit for w in walks]  # index order
+    return walks

@@ -259,6 +259,29 @@ def test_series_case_i_all_quotients_strongly_real(workdir, capsys):
     assert all(t["quotient_strongly_real"] for t in rep["terms"])
 
 
+def test_series_decides_each_shared_term_once(workdir, capsys, monkeypatch):
+    # gamma_(i+1) ends weight i and starts weight i+1: its quotient is
+    # decided once, and both entries carry that verdict
+    import bforge.cli
+
+    run(capsys, "construct", "--family", "case-ii", "--k", "1")
+    decided = []
+    decide = bforge.cli.quotient_strongly_real
+
+    def counting(proj, *args):
+        decided.append(proj.kernel().mask)
+        return decide(proj, *args)
+
+    monkeypatch.setattr(bforge.cli, "quotient_strongly_real", counting)
+    code, rep = run(capsys, "series", "--group", "case_ii_3_1.pcp", "--from", "2", "--to", "4")
+    assert code == 0
+    orders = [t["order"] for t in rep["terms"]]
+    assert len(decided) == len(set(decided)) == len(set(orders)) < len(orders)
+    verdict = {}
+    for t in rep["terms"]:
+        assert verdict.setdefault(t["order"], t["quotient_strongly_real"]) == t["quotient_strongly_real"]
+
+
 def test_series_fills_only_the_missing_recipe_exponent(workdir, capsys):
     # --n1 2 alone takes n2 from the recipe (2 at p = 3): the pair {w, w}
     # that no quotient carries, not the default recipe pair

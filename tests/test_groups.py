@@ -14,6 +14,7 @@ from oracle import (
     brute_order,
     brute_quotient,
     brute_sigma,
+    eager_walks,
     fold_normal_closure,
     fold_subgroup_closure,
 )
@@ -23,6 +24,7 @@ from bforge.families import build_abelian, build_case_i, build_case_ii, build_ne
 from bforge.groups import (
     BYTES_PER_ELEMENT,
     PcGroup,
+    _extend,
     agemo,
     bit_indices,
     conjugacy_class,
@@ -142,12 +144,51 @@ def test_gen_step_matches_collection(g51, g22, neg1):
             assert G.gen_step[i][1] == want
 
 
+@pytest.fixture(scope="module")
+def tower_groups():
+    # the largest quotients the three CI tower runs enumerate
+    cases = {"3_1_c5": (3, 1, 5), "2_2_c5": (2, 2, 5), "5_1_c4": (5, 1, 4)}
+    return {name: PcGroup(triangle_quotient(TriangleParams(p, k), c).pres) for name, (p, k, c) in cases.items()}
+
+
+def test_walk_matches_eager_build(g51, tower_groups):
+    # the memoised walk of b against every walk built at once, as the
+    # group used to hold them: the same step tables, in the same order
+    cases = [(g51.group, None), (build_abelian(12).group, None), (tower_groups["3_1_c5"], None)]
+    cases.append((tower_groups["5_1_c4"], 3000))
+    for G, sample in cases:
+        ref = eager_walks(G)
+        elements = range(G.order) if sample is None else random.Random(7).sample(range(G.order), sample)
+        for b in elements:
+            assert [id(t) for t in G.walk(b)] == [id(t) for t in ref[b]]
+    assert tower_groups["5_1_c4"].order == 5**8
+
+
+def test_extend_from_start_is_left_multiplication(g51, neg1, g22, tower_groups):
+    # _extend(G, orders, pc generators, x) sends y to x y
+    quotient, _ = quotient_group(g22.group, lower_central_series(g22.group).terms[2])
+    groups = [g51.group, neg1.group, build_abelian(12).group, quotient, tower_groups["3_1_c5"]]
+    rng = random.Random(11)
+    for G in groups:
+        for x in [0, G.order - 1, *rng.sample(range(G.order), 3)]:
+            assert _extend(G, G.presentation.orders, G.strides, x) == [G.mul(x, y) for y in range(G.order)]
+
+
+@pytest.mark.parametrize("name", ["3_1_c5", "2_2_c5", "5_1_c4"])
+def test_conjugation_tables_match_mul(tower_groups, name):
+    # the tables extended from conjugated pc generators against g^-1 x g
+    G = tower_groups[name]
+    for g in G.generators:
+        ig = G.inv(g)
+        assert G.conjugation_table(g) == [G.mul(G.mul(ig, x), g) for x in range(G.order)]
+
+
 def test_group_invariants_order_and_prime(g51):
     from bforge.families import build_abelian
     from math import prod
 
     G = g51.group
-    assert G.order == len(G.walks) == prod(G.presentation.orders)
+    assert G.order == len(G._walks) == prod(G.presentation.orders)
     assert G.prime == 5
     assert build_abelian(6).group.prime is None  # mixed 2- and 3-parts
     assert build_abelian(9).group.prime == 3
