@@ -209,8 +209,9 @@ def _generating_pairs(G: FiniteGroup):
     generating partners, so the weights sum to the number of generating
     pairs.  The sigma-equivalence key is the set of power classes of x, y
     and xy: pairs with equal keys have equal sigma sets."""
-    keys = [G.power_classes(a) for a in range(G.order)]
-    masks, _, reps = G.conjugacy_data()
+    masks, class_id, reps = G.conjugacy_data()
+    per_class = [G.power_classes(r) for r in reps]  # conjugates share their power classes
+    keys = [per_class[c] for c in class_id]
     lines = G.frattini_lines()
     if lines is None:  # not a 2-generated p-group: a closure per pair
 

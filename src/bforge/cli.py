@@ -33,7 +33,7 @@ from .beauville import (
     sigma,
 )
 from .errors import CapExceeded, HomomorphismError, PcpSyntaxError, ShapeError
-from .families import FAMILIES, PaperGroup, build_family, refinement_series, theta_automorphism
+from .families import FAMILIES, PaperGroup, _finish, build_family, pc_names, refinement_series
 from .groups import (
     PcGroup,
     hom_from_images,
@@ -132,7 +132,6 @@ def load_group(path: str, cap: int) -> LoadedGroup:
     data = Path(path).read_bytes()
     pf = parse_pcp(data.decode("utf-8"))
     group = PcGroup(pf.presentation, cap=cap)
-    named = {nm: group.gen_index(i) for i, nm in enumerate(pf.presentation.names)}
     if "x" in pf.distinguished and "y" in pf.distinguished:
         x, y = (group.element_of_word(pf.distinguished[k]) for k in "xy")
     elif "a" in pf.images and "b" in pf.images:
@@ -141,7 +140,7 @@ def load_group(path: str, cap: int) -> LoadedGroup:
         raise ValueError(f"{path}: one pc generator and no distinguished x, y or images a, b")
     else:
         x, y = group.gen_index(0), group.gen_index(1)
-    group.mark_generators([x, y])
+    theta = None
     if pf.theta:
         n = pf.presentation.ngens
         missing = [nm for nm in pf.presentation.names if nm not in pf.theta]
@@ -155,11 +154,8 @@ def load_group(path: str, cap: int) -> LoadedGroup:
         )
         if not theta.is_automorphism:
             raise ValueError(f"{path}: theta stanza is not an automorphism")
-    else:
-        theta = theta_automorphism(group, x, y)
-    family = pf.family or "file"
     p = pf.params.get("p", group.prime or 0)
-    pg = PaperGroup(family, p, pf.params.get("k"), pf.params.get("n"), group, x, y, named, theta)
+    pg = _finish(pf.family or "file", p, pf.params.get("k"), pf.params.get("n"), group, x, y, pc_names(group), theta)
     return LoadedGroup(pg, pf, Path(path), hashlib.sha256(data).hexdigest())
 
 
@@ -440,7 +436,7 @@ def cmd_series(args) -> int:
     if args.from_weight is not None and lo > hi:
         raise ValueError(f"--from {lo} is above the group's class {hi}; give --to for trivial terms")
     terms_json = []
-    verdicts: dict[int, bool] = {}  # strongly real verdict of G/N by N's mask
+    verdicts: dict[int, dict] = {}  # verdict fields of G/N by N's mask
     pairs = None
     if pg.family != "abelian" and pg.p:
         try:
@@ -460,9 +456,13 @@ def cmd_series(args) -> int:
             }
             if pairs is not None:
                 if term.mask not in verdicts:  # gamma_(i+1) ends weight i and starts weight i+1
-                    _, proj = quotient_group(G, term)
-                    verdicts[term.mask] = quotient_strongly_real(proj, pg.theta, *pairs, args.sigma_cap)[1]
-                entry["quotient_strongly_real"] = verdicts[term.mask]
+                    Q, proj = quotient_group(G, term)
+                    beauville, strong = quotient_strongly_real(proj, pg.theta, *pairs, args.sigma_cap)
+                    lift = Q.order > args.sigma_cap  # above the cap False means not certified
+                    verdict = "strongly real" if strong else "beauville only" if beauville else (
+                        "not certified" if lift else "not beauville")
+                    verdicts[term.mask] = {"quotient_strongly_real": strong, "quotient_verdict": verdict, "lift": lift}
+                entry.update(verdicts[term.mask])
             terms_json.append(entry)
     payload = {
         "version": __version__,
@@ -472,6 +472,8 @@ def cmd_series(args) -> int:
         "certificates": [],
         "terms": terms_json,
     }
+    if pairs is not None:
+        payload["pairs"] = [pair_json(G, pair) for pair in pairs]
     emit(finish_report(payload, t0))
     return 0
 

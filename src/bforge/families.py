@@ -57,12 +57,18 @@ def theta_automorphism(group: PcGroup, x: int, y: int) -> Homomorphism:
     return hom_from_images(group, group, [x, y], [group.inv(x), group.inv(y)])
 
 
-def _finish(family: str, p: int, k: Optional[int], n: Optional[int], pres: PcPresentation) -> PaperGroup:
-    group = PcGroup(pres)
-    x, y = group.gen_index(0), group.gen_index(1)
+def pc_names(group: PcGroup) -> dict[str, int]:
+    """Each pc generator's name mapped to its element index."""
+    return {nm: group.gen_index(i) for i, nm in enumerate(group.presentation.names)}
+
+
+def _finish(family: str, p: int, k: Optional[int], n: Optional[int], group: PcGroup, x: int, y: int,
+            named: dict[str, int], theta: Optional[Homomorphism] = None) -> PaperGroup:
+    """Mark x, y as the group's generators and wrap it; theta defaults to
+    the automorphism inverting x and y."""
     group.mark_generators([x, y])
-    named = {nm: group.gen_index(i) for i, nm in enumerate(pres.names)}
-    theta = theta_automorphism(group, x, y)
+    if theta is None:
+        theta = theta_automorphism(group, x, y)
     return PaperGroup(family, p, k, n, group, x, y, named, theta)
 
 
@@ -84,8 +90,8 @@ def build_case_i(p: int, k: int, cap: int = DEFAULT_ORDER_CAP) -> PaperGroup:
     if p ** (3 * k) > cap:
         raise CapExceeded(f"order p^{3 * k} exceeds cap {cap}")
     q = p**k
-    pres = make_presentation(f"case_i_{p}_{k}", ["x", "y", "z"], [q, q, q], None, {(1, 0): [(2, 1)]})
-    return _finish("case-i", p, k, None, pres)
+    group = PcGroup(make_presentation(f"case_i_{p}_{k}", ["x", "y", "z"], [q, q, q], None, {(1, 0): [(2, 1)]}))
+    return _finish("case-i", p, k, None, group, group.gen_index(0), group.gen_index(1), pc_names(group))
 
 
 def build_case_ii(k: int, cap: int = DEFAULT_ORDER_CAP) -> PaperGroup:
@@ -96,8 +102,8 @@ def build_case_ii(k: int, cap: int = DEFAULT_ORDER_CAP) -> PaperGroup:
         raise CapExceeded(f"order 3^{5 * k} exceeds cap {cap}")
     q = 3**k
     names, orders, comms = _three_step_presentation(q, q)
-    pres = make_presentation(f"case_ii_3_{k}", names, orders, None, comms)
-    return _finish("case-ii", 3, k, None, pres)
+    group = PcGroup(make_presentation(f"case_ii_3_{k}", names, orders, None, comms))
+    return _finish("case-ii", 3, k, None, group, group.gen_index(0), group.gen_index(1), pc_names(group))
 
 
 def build_case_iii(k: int, cap: int = DEFAULT_ORDER_CAP) -> PaperGroup:
@@ -107,8 +113,8 @@ def build_case_iii(k: int, cap: int = DEFAULT_ORDER_CAP) -> PaperGroup:
     if 2 ** (5 * k - 3) > cap:
         raise CapExceeded(f"order 2^{5 * k - 3} exceeds cap {cap}")
     names, orders, comms = _three_step_presentation(2**k, 2 ** (k - 1))
-    pres = make_presentation(f"case_iii_2_{k}", names, orders, None, comms)
-    return _finish("case-iii", 2, k, None, pres)
+    group = PcGroup(make_presentation(f"case_iii_2_{k}", names, orders, None, comms))
+    return _finish("case-iii", 2, k, None, group, group.gen_index(0), group.gen_index(1), pc_names(group))
 
 
 def build_negative(k: int, cap: int = DEFAULT_ORDER_CAP) -> PaperGroup:
@@ -120,13 +126,8 @@ def build_negative(k: int, cap: int = DEFAULT_ORDER_CAP) -> PaperGroup:
     s = G.pow(base.xy(), 3**k)
     N = normal_closure(G, [s])
     group, proj = quotient_pc_presentation(G, N, f"negative_3_{k}")
-    x, y = proj(base.x), proj(base.y)
-    group.mark_generators([x, y])
-    named = {nm: group.gen_index(i) for i, nm in enumerate(group.presentation.names)}
-    named["t_image"] = proj(base.named["t"])
-    named["w_image"] = proj(base.named["w"])
-    theta = theta_automorphism(group, x, y)
-    return PaperGroup("negative", 3, k, None, group, x, y, named, theta)
+    named = pc_names(group) | {"t_image": proj(base.named["t"]), "w_image": proj(base.named["w"])}
+    return _finish("negative", 3, k, None, group, proj(base.x), proj(base.y), named)
 
 
 def build_abelian(n: int, cap: int = DEFAULT_ORDER_CAP) -> PaperGroup:
@@ -155,22 +156,15 @@ def build_abelian(n: int, cap: int = DEFAULT_ORDER_CAP) -> PaperGroup:
     r = len(factors)
     x = group.index_of(tuple([1] * r + [0] * r))
     y = group.index_of(tuple([0] * r + [1] * r))
-    group.mark_generators([x, y])
-    named = {"x": x, "y": y}
-    theta = theta_automorphism(group, x, y)
-    return PaperGroup("abelian", factors[0] if len(factors) == 1 else 0, None, n, group, x, y, named, theta)
+    return _finish("abelian", factors[0] if len(factors) == 1 else 0, None, n, group, x, y, {"x": x, "y": y})
 
 
 def paper_group_from_nq(lp, tp) -> PaperGroup:
     """Wrap a triangle-quotient presentation as a PaperGroup: distinguished
     generators are the images of a and b, theta the induced inversion."""
     group = PcGroup(lp.pres)
-    x = group.element_of_word(lp.a_word)
-    y = group.element_of_word(lp.b_word)
-    group.mark_generators([x, y])
-    named = {nm: group.gen_index(i) for i, nm in enumerate(lp.pres.names)}
-    theta = theta_automorphism(group, x, y)
-    return PaperGroup("triangle-quotient", tp.p, tp.k, None, group, x, y, named, theta)
+    x, y = group.element_of_word(lp.a_word), group.element_of_word(lp.b_word)
+    return _finish("triangle-quotient", tp.p, tp.k, None, group, x, y, pc_names(group))
 
 
 def build_family(family: str, p: int = 0, k: int = 0, n: int = 0, cap: int = DEFAULT_ORDER_CAP) -> PaperGroup:

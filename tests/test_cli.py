@@ -383,6 +383,45 @@ def test_series_sigma_cap_forces_lift_path(workdir, capsys):
     # which degenerates to the full check here and still certifies it
     assert [t["order"] for t in rep["terms"]] == ["1"]
     assert rep["terms"][0]["quotient_strongly_real"] is True
+    assert rep["terms"][0]["quotient_verdict"] == "strongly real" and rep["terms"][0]["lift"] is True
+
+
+def test_series_lift_path_agrees_with_full_sigma_sets(workdir, capsys):
+    # the lift path (every quotient over --sigma-cap 10) abstains where the
+    # full check says "not beauville", and agrees wherever it certifies
+    run(capsys, "construct", "--family", "case-ii", "--k", "1")
+    _, full = run(capsys, "series", "--group", "case_ii_3_1.pcp")
+    _, lifted = run(capsys, "series", "--group", "case_ii_3_1.pcp", "--sigma-cap", "10")
+    assert len(full["terms"]) == len(lifted["terms"]) == 5
+    assert not any(t["lift"] for t in full["terms"]) and any(t["lift"] for t in lifted["terms"])
+    for f, t in zip(full["terms"], lifted["terms"]):
+        assert f["quotient_strongly_real"] == t["quotient_strongly_real"]
+        if t["quotient_verdict"] in ("strongly real", "beauville only"):
+            assert f["quotient_verdict"] == t["quotient_verdict"]
+    assert full["pairs"] == lifted["pairs"]
+
+
+# (weight, |T/N|, verdict, decided by the lift path) for each refinement term
+# of the p = 3 class-4 triangle quotient, recorded from an in-process
+# refinement_series / quotient_group / quotient_strongly_real walk of the tower
+_TOWER_3_1_C4 = [
+    (2, 9, "not beauville", False), (2, 27, "not beauville", False),
+    (3, 27, "not beauville", False), (3, 81, "not beauville", False), (3, 243, "strongly real", False),
+    (4, 243, "strongly real", False), (4, 729, "strongly real", False), (4, 2187, "strongly real", False),
+]
+
+
+def test_series_tower_verdicts(workdir, capsys):
+    code, _ = run(capsys, "nq", "--p", "3", "--k", "1", "--class", "4", "--out", "t.pcp")
+    assert code == 0
+    code, rep = run(capsys, "series", "--group", "t.pcp")
+    assert code == 0 and rep["group"]["order"] == "2187"
+    got = [(t["weight"], 2187 // int(t["order"]), t["quotient_verdict"], t["lift"]) for t in rep["terms"]]
+    assert got == _TOWER_3_1_C4
+    assert [t["quotient_strongly_real"] for t in rep["terms"]] == [v == "strongly real" for _, _, v, _ in got]
+    assert [(pr["signature"], pr["generating"], pr["on_recipe"]) for pr in rep["pairs"]] == [
+        (["3", "3", "9"], True, True), (["9", "3", "3"], True, True),
+    ]
 
 
 # -- reports ----------------------------------------------------------------------
@@ -411,9 +450,9 @@ _GOLDEN = [
     ("construct --family case-ii --k 1", 0, "144436e47fb39db54c9e4b6d2404bbafe935081d1fc9edbcd12ea1331bdac36c"),
     ("verify --group case_i_5_1.pcp --paper-structure --strong", 0,
      "4d55942fae964433e02b7ab93d3481ec16ccdfae7ac6bfca5125cd3128064f86"),
-    ("series --group case_ii_3_1.pcp", 0, "3bf0679f2d2f80dd77d0ca8e47975ac8c901f0acc0022b2be53f2aba9776fc90"),
+    ("series --group case_ii_3_1.pcp", 0, "fed0ab3ff042d4f5efc1f0098880f6ed6873be433e174daaa26546f17850ab01"),
     ("series --group case_ii_3_1.pcp --sigma-cap 10", 0,
-     "3bf0679f2d2f80dd77d0ca8e47975ac8c901f0acc0022b2be53f2aba9776fc90"),
+     "42ff62129d3b6bbb19ffb5ca9ec70d0e4adbd806df1a295c276ab535586f281a"),
     ("search --group case_iii_2_2.pcp --mode find", 0,
      "4fe370ee2899a3571b33ace0e4ab31809cc8f4b7ba5fe0952d4393844f4b83d8"),
     ("search --group case_iii_2_2.pcp --mode prove-none", 1,
