@@ -11,8 +11,8 @@ from .errors import CapExceeded
 from .families import PaperGroup
 from .groups import (
     ElementSet,
-    FiniteGroup,
     Homomorphism,
+    PcGroup,
     agemo,
     induced_automorphism,
     lower_central_series,
@@ -35,7 +35,7 @@ class GenPair:
     on_recipe: bool = True
 
     @staticmethod
-    def make(G: FiniteGroup, x: int, y: int, on_recipe: bool = True) -> "GenPair":
+    def make(G: PcGroup, x: int, y: int, on_recipe: bool = True) -> "GenPair":
         xy = G.mul(x, y)
         sig = (G.element_order(x), G.element_order(y), G.element_order(xy))
         return GenPair(x, y, xy, sig, is_generating_pair(G, x, y), on_recipe)
@@ -56,7 +56,7 @@ class BeauvilleCertificate:
     diagnostics: tuple[str, ...] = ()
 
 
-def sigma(G: FiniteGroup, x: int, y: int) -> ElementSet:
+def sigma(G: PcGroup, x: int, y: int) -> ElementSet:
     """Union of all conjugates of <x>, <y> and <xy>: the forbidden set of the
     pair.  Computed as a union of conjugacy classes of powers."""
     xy = G.mul(x, y)
@@ -64,7 +64,7 @@ def sigma(G: FiniteGroup, x: int, y: int) -> ElementSet:
     return ElementSet(G, mask)
 
 
-def is_generating_pair(G: FiniteGroup, x: int, y: int) -> bool:
+def is_generating_pair(G: PcGroup, x: int, y: int) -> bool:
     """Whether <x, y> = G; via the Frattini quotient for 2-generated
     p-groups, by closure otherwise."""
     lines = G.frattini_lines()
@@ -73,7 +73,7 @@ def is_generating_pair(G: FiniteGroup, x: int, y: int) -> bool:
     return len(subgroup_closure(G, [x, y])) == G.order
 
 
-def check_beauville(G: FiniteGroup, pair1: GenPair, pair2: GenPair) -> BeauvilleCertificate:
+def check_beauville(G: PcGroup, pair1: GenPair, pair2: GenPair) -> BeauvilleCertificate:
     """Decide Sigma(pair1) ^ Sigma(pair2) = 1 for two generating pairs by
     intersecting the full sigma sets."""
     diagnostics = []
@@ -91,7 +91,7 @@ def check_beauville(G: FiniteGroup, pair1: GenPair, pair2: GenPair) -> Beauville
 
 
 def check_strongly_real(
-    G: FiniteGroup,
+    G: PcGroup,
     pair1: GenPair,
     pair2: GenPair,
     theta: Homomorphism,
@@ -119,7 +119,7 @@ def check_strongly_real(
     return cert
 
 
-def _inverts(G: FiniteGroup, theta: Homomorphism, g: int, a: int) -> bool:
+def _inverts(G: PcGroup, theta: Homomorphism, g: int, a: int) -> bool:
     return G.mul(G.mul(g, theta(a)), G.inv(g)) == G.inv(a)
 
 
@@ -162,7 +162,7 @@ def paper_structure(pg: PaperGroup, n1: int, n2: int) -> tuple[GenPair, GenPair]
     )
 
 
-def regular_beauville_criterion(G: FiniteGroup) -> bool:
+def regular_beauville_criterion(G: PcGroup) -> bool:
     """Criterion for a 2-generator regular p-group to be Beauville:
     p >= 5 and the agemo at exp/p has order at least p^2.
 
@@ -202,14 +202,14 @@ def search_cap(mode: str, cap: Optional[int]) -> int:
     return cap if cap is not None else (PROVE_NONE_CAP if mode == "prove-none" else 10**4)
 
 
-def _generating_pairs(G: FiniteGroup):
+def _generating_pairs(G: PcGroup):
     """(x, y, key, weight) in lexicographic order for every generating pair
     whose x is a conjugacy-class representative (the class's least index);
     weight is the size of x's class, and conjugates of x have as many
     generating partners, so the weights sum to the number of generating
     pairs.  The sigma-equivalence key is the set of power classes of x, y
     and xy: pairs with equal keys have equal sigma sets."""
-    masks, class_id, reps = G.conjugacy_data()
+    sizes, class_id, reps = G.conjugacy_data()
     per_class = [G.power_classes(r) for r in reps]  # conjugates share their power classes
     keys = [per_class[c] for c in class_id]
     lines = G.frattini_lines()
@@ -226,14 +226,13 @@ def _generating_pairs(G: FiniteGroup):
         def partners(x: int):
             return by_line[lines[x]]
 
-    for x, mask in zip(reps[1:], masks[1:]):
-        weight = mask.bit_count()
+    for x, weight in zip(reps[1:], sizes[1:]):
         for y in partners(x):
             yield x, y, frozenset((keys[x], keys[y], keys[G.mul(x, y)])), weight
 
 
 def exhaustive_search(
-    G: FiniteGroup,
+    G: PcGroup,
     mode: str = "find",
     theta: Optional[Homomorphism] = None,
     cap: Optional[int] = None,
@@ -325,7 +324,7 @@ class LiftReport:
 
 
 def check_strongly_real_via_base(
-    Q: FiniteGroup,
+    Q: PcGroup,
     pair1: GenPair,
     pair2: GenPair,
     theta: Homomorphism,
@@ -339,7 +338,7 @@ def check_strongly_real_via_base(
     lcs = lower_central_series(Q)
     idx = min(base_weight - 1, len(lcs.terms) - 1)
     Q2, proj2 = quotient_group(Q, lcs.terms[idx])
-    rep = lift_check(proj2, pair1, pair2, cross_check_cap=0)
+    rep = lift_check(proj2, pair1, pair2)
     inverted = all(
         _inverts(Q, theta, 0, g) for pair in (pair1, pair2) for g in (pair.x, pair.y)
     )

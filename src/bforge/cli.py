@@ -35,6 +35,7 @@ from .beauville import (
 from .errors import CapExceeded, HomomorphismError, PcpSyntaxError, ShapeError
 from .families import FAMILIES, PaperGroup, _finish, build_family, pc_names, refinement_series
 from .groups import (
+    DEFAULT_ORDER_CAP,
     PcGroup,
     hom_from_images,
     lower_central_series,
@@ -398,7 +399,7 @@ def cmd_verify(args) -> int:
 def cmd_search(args) -> int:
     t0 = time.perf_counter()
     # refuse an input over the search cap before enumerating it
-    loaded = load_group(args.group, cap=min(search_cap(args.mode, args.max_order), 10**6))
+    loaded = load_group(args.group, cap=min(search_cap(args.mode, args.max_order), DEFAULT_ORDER_CAP))
     pg = loaded.pg
     theta = pg.theta if args.mode == "find-strongly-real" else None
     res = exhaustive_search(pg.group, args.mode, theta=theta, cap=args.max_order)
@@ -517,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--k", type=int)
     c.add_argument("--n", type=int)
     c.add_argument("--out")
-    c.add_argument("--max-order", type=int, default=10**6)
+    c.add_argument("--max-order", type=int, default=DEFAULT_ORDER_CAP)
     c.set_defaults(fn=cmd_construct)
 
     c = sub.add_parser("nq", help="nilpotent quotient of a triangle group")
@@ -526,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--r", type=int)
     c.add_argument("--class", dest="class_bound", type=int, default=4, choices=range(1, MAX_CLASS_BOUND + 1))
     c.add_argument("--out")
-    c.add_argument("--max-order", type=int, default=10**6)
+    c.add_argument("--max-order", type=int, default=DEFAULT_ORDER_CAP)
     c.set_defaults(fn=cmd_nq)
 
     c = sub.add_parser("verify", help="verify a (strongly real) Beauville structure")
@@ -538,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--n2", type=int)
     c.add_argument("--strong", action="store_true")
     c.add_argument("--search-conjugators", action="store_true")
-    c.add_argument("--max-order", type=int, default=10**6)
+    c.add_argument("--max-order", type=int, default=DEFAULT_ORDER_CAP)
     c.set_defaults(fn=cmd_verify)
 
     c = sub.add_parser("search", help="exhaustive structure search / non-existence certification")
@@ -555,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--n1", type=int)
     c.add_argument("--n2", type=int)
     c.add_argument("--sigma-cap", type=int, default=10**4)
-    c.add_argument("--max-order", type=int, default=10**6)
+    c.add_argument("--max-order", type=int, default=DEFAULT_ORDER_CAP)
     c.set_defaults(fn=cmd_series)
 
     c = sub.add_parser("reproduce", help="run the full acceptance suite")

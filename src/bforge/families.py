@@ -8,11 +8,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import CapExceeded
 from .groups import (
     DEFAULT_ORDER_CAP,
     ElementSet,
-    FiniteGroup,
     Homomorphism,
     NormalSeries,
     PcGroup,
@@ -87,10 +85,9 @@ def build_case_i(p: int, k: int, cap: int = DEFAULT_ORDER_CAP) -> PaperGroup:
         raise ValueError("case-i requires p > 3")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if p ** (3 * k) > cap:
-        raise CapExceeded(f"order p^{3 * k} exceeds cap {cap}")
     q = p**k
-    group = PcGroup(make_presentation(f"case_i_{p}_{k}", ["x", "y", "z"], [q, q, q], None, {(1, 0): [(2, 1)]}))
+    pres = make_presentation(f"case_i_{p}_{k}", ["x", "y", "z"], [q, q, q], None, {(1, 0): [(2, 1)]})
+    group = PcGroup(pres, cap)
     return _finish("case-i", p, k, None, group, group.gen_index(0), group.gen_index(1), pc_names(group))
 
 
@@ -98,11 +95,9 @@ def build_case_ii(k: int, cap: int = DEFAULT_ORDER_CAP) -> PaperGroup:
     """The five-generator 3-group of order 3^{5k} and exponent 3^{k+1}."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if 3 ** (5 * k) > cap:
-        raise CapExceeded(f"order 3^{5 * k} exceeds cap {cap}")
     q = 3**k
     names, orders, comms = _three_step_presentation(q, q)
-    group = PcGroup(make_presentation(f"case_ii_3_{k}", names, orders, None, comms))
+    group = PcGroup(make_presentation(f"case_ii_3_{k}", names, orders, None, comms), cap)
     return _finish("case-ii", 3, k, None, group, group.gen_index(0), group.gen_index(1), pc_names(group))
 
 
@@ -110,10 +105,8 @@ def build_case_iii(k: int, cap: int = DEFAULT_ORDER_CAP) -> PaperGroup:
     """The five-generator 2-group of order 2^{5k-3} and exponent 2^k, k >= 2."""
     if k < 2:
         raise ValueError("case-iii requires k >= 2 (q = 2^k must exceed 2)")
-    if 2 ** (5 * k - 3) > cap:
-        raise CapExceeded(f"order 2^{5 * k - 3} exceeds cap {cap}")
     names, orders, comms = _three_step_presentation(2**k, 2 ** (k - 1))
-    group = PcGroup(make_presentation(f"case_iii_2_{k}", names, orders, None, comms))
+    group = PcGroup(make_presentation(f"case_iii_2_{k}", names, orders, None, comms), cap)
     return _finish("case-iii", 2, k, None, group, group.gen_index(0), group.gen_index(1), pc_names(group))
 
 
@@ -134,8 +127,6 @@ def build_abelian(n: int, cap: int = DEFAULT_ORDER_CAP) -> PaperGroup:
     """C_n x C_n with theta = inversion; Beauville iff n > 1, gcd(n, 6) = 1."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    if n * n > cap:
-        raise CapExceeded(f"order {n * n} exceeds cap {cap}")
     factors: list[int] = []
     rest = n
     d = 2
@@ -152,7 +143,7 @@ def build_abelian(n: int, cap: int = DEFAULT_ORDER_CAP) -> PaperGroup:
     names = [f"x{i + 1}" for i in range(len(factors))] + [f"y{i + 1}" for i in range(len(factors))]
     orders = factors + factors
     pres = make_presentation(f"abelian_{n}", names, orders)
-    group = PcGroup(pres)
+    group = PcGroup(pres, cap)
     r = len(factors)
     x = group.index_of(tuple([1] * r + [0] * r))
     y = group.index_of(tuple([0] * r + [1] * r))
@@ -190,7 +181,7 @@ def build_family(family: str, p: int = 0, k: int = 0, n: int = 0, cap: int = DEF
 # -- refinement series -------------------------------------------------------
 
 
-def left_normed_commutators(G: FiniteGroup, x: int, y: int, weight: int) -> list[int]:
+def left_normed_commutators(G: PcGroup, x: int, y: int, weight: int) -> list[int]:
     """Weight-w left-normed commutators [y, x, a_3, ..., a_w], a_i in {x, y},
     ordered lexicographically with x < y.  Their classes span the layer
     gamma_w / gamma_{w+1}."""
@@ -206,7 +197,7 @@ def left_normed_commutators(G: FiniteGroup, x: int, y: int, weight: int) -> list
     return out
 
 
-def refinement_series(pg: PaperGroup, i: int, check: bool = True) -> NormalSeries:
+def refinement_series(pg: PaperGroup, i: int) -> NormalSeries:
     """Refine gamma_{i+1} <= gamma_i into theta-invariant normal steps of
     index p, adjoining the weight-i left-normed commutators through their
     p-power chains.
@@ -249,13 +240,12 @@ def refinement_series(pg: PaperGroup, i: int, check: bool = True) -> NormalSerie
     for term in terms:
         inv = all(pg.theta(h) in term for h in (term.gens or term.indices()))
         flags.append(inv)
-        if check:
-            if not term.is_normal:
-                raise AssertionError("refinement term is not normal")
-            if not inv:
-                raise AssertionError("refinement term is not theta-invariant")
+        if not term.is_normal:
+            raise AssertionError("refinement term is not normal")
+        if not inv:
+            raise AssertionError("refinement term is not theta-invariant")
     indices = _series_indices(terms)
-    if check and any(idx != p for idx in indices):
+    if any(idx != p for idx in indices):
         raise AssertionError(f"refinement indices {indices} are not all {p}")
     return NormalSeries(G, tuple(terms), indices, tuple(flags))
 

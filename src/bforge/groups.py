@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import os
 import resource
+from array import array
 from dataclasses import dataclass
-from math import gcd
-from typing import Iterable, Iterator, Optional
+from math import gcd, prod
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CapExceeded, HomomorphismError
-from .pc import PcPresentation, Word, format_word, require_consistent
+from .pc import PcPresentation, Word, format_word, prime_power_base, require_consistent
 
 _BYTE_BITS = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
 _MEMBER_DIGITS = bytes.maketrans(b"\0\1", b"01")  # membership bytes -> binary digits
@@ -30,6 +31,8 @@ DEFAULT_ORDER_CAP = 10**6
 # Rough memory a PcGroup takes per element once built, before any cache
 # fills: the build grows RSS by about 510 bytes per element at order 59049
 # and 530 at order 390625.  Kept at 1 KB, since the caches come on top.
+# Large relative orders take more: 8 bytes per element in each of the
+# sum(m_i - 1) step tables, and 28 per generator (2,990 in all at 5^9, m_i = 125).
 BYTES_PER_ELEMENT = 1024
 
 
@@ -63,7 +66,7 @@ class ElementSet:
     """Dense index-set over a group; the working currency for subgroups,
     conjugacy classes and sigma sets."""
 
-    group: "FiniteGroup"
+    group: "PcGroup"
     mask: int
     is_subgroup: bool = False
     is_normal: bool = False
@@ -82,189 +85,7 @@ class ElementSet:
         return self.mask & ~other.mask == 0
 
 
-class FiniteGroup:
-    """Base class: index arithmetic plus shared cached algorithms."""
-
-    identity = 0
-
-    def __init__(self, order: int, prime: Optional[int], generators: list[int], name: str):
-        self.order = order
-        self.prime = prime
-        self.generators = list(generators)
-        self.name = name
-        self._order_cache: dict[int, int] = {}
-        self._inv_cache: dict[int, int] = {}
-        self._classes: Optional[tuple[list[int], list[int], list[int]]] = None
-        self._power_classes: dict[int, frozenset] = {}
-        self._conj_union_cache: dict[frozenset, int] = {}
-        self._lcs: Optional[NormalSeries] = None
-        self._frattini: Optional[ElementSet] = None
-        self._exponent: Optional[int] = None
-        self._lines: Optional[list[int]] = None  # [] once known not to apply
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def mul(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def inv(self, a: int) -> int:
-        cached = self._inv_cache.get(a)
-        if cached is None:
-            cached = self.pow(a, self.element_order(a) - 1)
-            self._inv_cache[a] = cached
-        return cached
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            a, e = self.inv(a), -e
-        res = 0
-        sq = a
-        while e:
-            if e & 1:
-                res = self.mul(res, sq)
-            e >>= 1
-            if e:
-                sq = self.mul(sq, sq)
-        return res
-
-    def conjugate(self, a: int, g: int) -> int:
-        return self.mul(self.mul(self.inv(g), a), g)
-
-    def comm(self, a: int, b: int) -> int:
-        return self.mul(self.mul(self.inv(a), self.inv(b)), self.mul(a, b))
-
-    def element_order(self, a: int) -> int:
-        o = self._order_cache.get(a)
-        if o is not None:
-            return o
-        if self.prime is not None:
-            p = self.prime
-            o = 1
-            x = a
-            while x:
-                x = self.pow(x, p)
-                o *= p
-        else:
-            o = 1
-            x = a
-            while x:
-                x = self.mul(x, a)
-                o += 1
-        self._order_cache[a] = o
-        return o
-
-    def exponent(self) -> int:
-        if self._exponent is None:
-            _, _, reps = self.conjugacy_data()
-            self._exponent = max(self.element_order(r) for r in reps)
-        return self._exponent
-
-    def full_mask(self) -> int:
-        return (1 << self.order) - 1
-
-    def as_set(self) -> ElementSet:
-        return ElementSet(self, self.full_mask(), True, True, tuple(self.generators))
-
-    def trivial_set(self) -> ElementSet:
-        return ElementSet(self, 1, True, True, ())
-
-    # -- conjugacy -----------------------------------------------------------
-
-    def conjugacy_data(self) -> tuple[list[int], list[int], list[int]]:
-        """(class mask per class id, class id per element, class reps).
-
-        Classes are orbits under conjugation by the marked generators, which
-        generate the group; computed once and cached.  Each orbit is kept
-        as a list and packed into its mask once, from a bytearray spanning
-        the orbit's index range.
-        """
-        if self._classes is None:
-            tabs = [self.conjugation_table(g) for g in self.generators]
-            class_id = [-1] * self.order
-            masks: list[int] = []
-            reps: list[int] = []
-            for a in range(self.order):
-                if class_id[a] >= 0:
-                    continue
-                cid = len(masks)
-                class_id[a] = cid
-                orbit = [a]
-                for x in orbit:  # grows while it runs
-                    for tab in tabs:
-                        y = tab[x]
-                        if class_id[y] < 0:
-                            class_id[y] = cid
-                            orbit.append(y)
-                members = bytearray(max(orbit) - a + 1)  # a is the orbit's least index
-                for y in orbit:
-                    members[y - a] = 1
-                masks.append(_pack(members) << a)
-                reps.append(a)
-            self._classes = (masks, class_id, reps)
-        return self._classes
-
-    def power_classes(self, a: int) -> frozenset:
-        """Ids of the conjugacy classes that <a> meets.  Conjugate elements
-        meet the same classes, so this is computed once per class."""
-        _, class_id, _ = self.conjugacy_data()
-        cid = class_id[a]
-        key = self._power_classes.get(cid)
-        if key is None:
-            ids = {class_id[0]}
-            x = a
-            while x:
-                ids.add(class_id[x])
-                x = self.mul(x, a)
-            key = self._power_classes[cid] = frozenset(ids)
-        return key
-
-    def conjugate_union(self, a: int) -> int:
-        """Mask of the union of all conjugates of <a>."""
-        key = self.power_classes(a)
-        if key not in self._conj_union_cache:
-            masks, _, _ = self.conjugacy_data()
-            self._conj_union_cache[key] = sum(masks[cid] for cid in key)  # disjoint masks
-        return self._conj_union_cache[key]
-
-    def nilpotency_class(self) -> int:
-        return len(lower_central_series(self).terms) - 1
-
-    def mark_generators(self, gens: list[int]) -> None:
-        """Replace the marked generating set; sift_pairs verifies that it
-        still generates (orbit and series machinery silently depend on that)."""
-        try:
-            sift_pairs(self, self, gens, gens)
-        except HomomorphismError:
-            raise ValueError("marked elements do not generate the group") from None
-        self.generators = list(gens)
-
-    def frattini_lines(self) -> Optional[list[int]]:
-        """For a 2-generated p-group: the maximal subgroup ('line' of the
-        Frattini quotient) containing each element, -1 inside Phi(G).
-        Two elements generate iff their lines exist and differ.  None for
-        any other group."""
-        if self._lines is None:
-            self._lines = []
-            if self.prime is None or self.order != len(frattini(self)) * self.prime**2:
-                return None
-            Q, proj = quotient_group(self, frattini(self))
-            line_of_coset = [-1] * Q.order
-            for c in range(1, Q.order):
-                if line_of_coset[c] >= 0:
-                    continue
-                members = []
-                x = c
-                while x != 0:
-                    members.append(x)
-                    x = Q.mul(x, c)
-                lid = min(members)
-                for m in members:
-                    line_of_coset[m] = lid
-            self._lines = [line_of_coset[q] for q in proj.full_map]
-        return self._lines or None
-
-
-class PcGroup(FiniteGroup):
+class PcGroup:
     """Group enumerated from a consistent pc presentation.
 
     Right-multiplication tables by generator powers back all arithmetic:
@@ -274,19 +95,24 @@ class PcGroup(FiniteGroup):
     tables, maps, conjugation tables, cosets) walk whole columns of
     indices instead, one lookup per index and digit (_extend).  The step
     tables are built from the last generator up that way (see
-    _build_gen_step); nothing is collected symbolically.  A group whose
-    order times BYTES_PER_ELEMENT exceeds memory_limit() is refused with
-    CapExceeded before anything is built.
+    _build_gen_step); nothing is collected symbolically.  A group of order
+    above cap, or whose estimated memory (BYTES_PER_ELEMENT per element, or
+    more for large relative orders) exceeds memory_limit(), is refused with
+    CapExceeded before anything is built; this is the one place where a
+    group's size is checked.
     """
+
+    identity = 0
 
     def __init__(self, pres: PcPresentation, cap: int = DEFAULT_ORDER_CAP):
         order = pres.order()
         if order > cap:
             raise CapExceeded(f"group order {order} exceeds cap {cap}")
         limit = memory_limit()
-        if order * BYTES_PER_ELEMENT > limit:
+        need = order * max(BYTES_PER_ELEMENT, 8 * sum(m - 1 for m in pres.orders) + 28 * pres.ngens + 512)
+        if need > limit:
             raise CapExceeded(
-                f"group order {order} needs about {order * BYTES_PER_ELEMENT >> 20} MB, "
+                f"group order {order} needs about {need >> 20} MB, "
                 f"more than the {limit >> 20} MB this process may use"
             )
         require_consistent(pres)
@@ -296,10 +122,25 @@ class PcGroup(FiniteGroup):
             strides[i] = strides[i + 1] * pres.orders[i + 1]
         self.presentation = pres
         self.strides = strides
-        super().__init__(order, pres.prime(), strides, pres.name)
+        primes = sorted({prime_power_base(m) for m in pres.orders})
+        self._p_parts = [(p, prod(m for m in pres.orders if m % p)) for p in primes]  # (p, |G| / p^k)
+        self.order = order
+        self.prime = primes[0] if len(primes) == 1 else None
+        self.generators = list(strides)
+        self.name = pres.name
+        self._order_cache: dict[int, int] = {}
+        self._inv_cache: dict[int, int] = {}
+        self._classes: Optional[tuple[list[int], list[int], list[int]]] = None
+        self._class_masks: dict[int, int] = {}
+        self._power_classes: dict[int, frozenset] = {}
+        self._conj_union_cache: dict[frozenset, int] = {}
+        self._lcs: Optional[NormalSeries] = None
+        self._frattini: Optional[ElementSet] = None
+        self._exponent: Optional[int] = None
+        self._lines: Optional[list[int]] = None  # [] once known not to apply
         self._build_gen_step()
 
-    # construction ----------------------------------------------------------
+    # -- construction --------------------------------------------------------
 
     def _build_gen_step(self) -> None:
         """Right-multiplication tables by g_i^e, from the last generator up
@@ -332,7 +173,7 @@ class PcGroup(FiniteGroup):
                 tabs.append([step1[x] for x in tabs[-1]])  # shares step1's ints
             self.gen_step[i] = tabs
 
-    # arithmetic -------------------------------------------------------------
+    # -- arithmetic ----------------------------------------------------------
 
     def conjugation_table(self, g: int) -> list[int]:
         """[g^-1 x g for every x]: conjugation by g is the automorphism
@@ -380,6 +221,172 @@ class PcGroup(FiniteGroup):
     def element_name(self, a: int) -> str:
         return format_word(self.word_of(a), self.presentation.names)
 
+    def inv(self, a: int) -> int:
+        cached = self._inv_cache.get(a)
+        if cached is None:
+            cached = self.pow(a, self.element_order(a) - 1)
+            self._inv_cache[a] = cached
+        return cached
+
+    def pow(self, a: int, e: int) -> int:
+        if e < 0:
+            a, e = self.inv(a), -e
+        res = 0
+        sq = a
+        while e:
+            if e & 1:
+                res = self.mul(res, sq)
+            e >>= 1
+            if e:
+                sq = self.mul(sq, sq)
+        return res
+
+    def conjugate(self, a: int, g: int) -> int:
+        return self.mul(self.mul(self.inv(g), a), g)
+
+    def comm(self, a: int, b: int) -> int:
+        return self.mul(self.mul(self.inv(a), self.inv(b)), self.mul(a, b))
+
+    def element_order(self, a: int) -> int:
+        """The product over the primes p of |G|, with p^k || |G|, of the
+        order of a's p-part a^(|G|/p^k), found by p-th powers until 1."""
+        o = self._order_cache.get(a)
+        if o is None:
+            o = 1
+            for p, cofactor in self._p_parts:
+                x = self.pow(a, cofactor)
+                while x:
+                    x = self.pow(x, p)
+                    o *= p
+            self._order_cache[a] = o
+        return o
+
+    def exponent(self) -> int:
+        if self._exponent is None:
+            _, _, reps = self.conjugacy_data()
+            self._exponent = max(self.element_order(r) for r in reps)
+        return self._exponent
+
+    def full_mask(self) -> int:
+        return (1 << self.order) - 1
+
+    def as_set(self) -> ElementSet:
+        return ElementSet(self, self.full_mask(), True, True, tuple(self.generators))
+
+    def trivial_set(self) -> ElementSet:
+        return ElementSet(self, 1, True, True, ())
+
+    # -- conjugacy -----------------------------------------------------------
+
+    def conjugacy_data(self) -> tuple[list[int], list[int], list[int]]:
+        """(class size per class id, class id per element, class reps).
+
+        Classes are orbits under conjugation by the marked generators, which
+        generate the group; computed once and cached.  The orbits are kept
+        end to end in one array, for class_mask to pack on first use.
+        """
+        if self._classes is None:
+            tabs = [self.conjugation_table(g) for g in self.generators]
+            class_id = [-1] * self.order
+            sizes: list[int] = []
+            reps: list[int] = []
+            self._orbits, self._orbit_starts = array("l"), array("l")
+            for a in range(self.order):
+                if class_id[a] >= 0:
+                    continue
+                cid = len(sizes)
+                class_id[a] = cid
+                orbit = [a]
+                for x in orbit:  # grows while it runs
+                    for tab in tabs:
+                        y = tab[x]
+                        if class_id[y] < 0:
+                            class_id[y] = cid
+                            orbit.append(y)
+                self._orbit_starts.append(len(self._orbits))
+                self._orbits.extend(orbit)
+                sizes.append(len(orbit))
+                reps.append(a)
+            self._classes = (sizes, class_id, reps)
+        return self._classes
+
+    def class_mask(self, cid: int) -> int:
+        """Mask of conjugacy class cid, packed from its orbit on first use
+        by a bytearray spanning the orbit's index range."""
+        mask = self._class_masks.get(cid)
+        if mask is None:
+            sizes, _, reps = self.conjugacy_data()
+            start = self._orbit_starts[cid]
+            orbit = self._orbits[start:start + sizes[cid]]
+            a = reps[cid]  # the orbit's least index
+            members = bytearray(max(orbit) - a + 1)
+            for y in orbit:
+                members[y - a] = 1
+            mask = self._class_masks[cid] = _pack(members) << a
+        return mask
+
+    def power_classes(self, a: int) -> frozenset:
+        """Ids of the conjugacy classes that <a> meets.  Conjugate elements
+        meet the same classes, so this is computed once per class."""
+        _, class_id, _ = self.conjugacy_data()
+        cid = class_id[a]
+        key = self._power_classes.get(cid)
+        if key is None:
+            ids = {class_id[0]}
+            x = a
+            while x:
+                ids.add(class_id[x])
+                x = self.mul(x, a)
+            key = self._power_classes[cid] = frozenset(ids)
+        return key
+
+    def conjugate_union(self, a: int) -> int:
+        """Mask of the union of all conjugates of <a>."""
+        key = self.power_classes(a)
+        if key not in self._conj_union_cache:
+            self._conj_union_cache[key] = sum(map(self.class_mask, key))  # disjoint masks
+        return self._conj_union_cache[key]
+
+    def nilpotency_class(self) -> int:
+        return len(lower_central_series(self).terms) - 1
+
+    def mark_generators(self, gens: list[int]) -> None:
+        """Replace the marked generating set; sift_pairs verifies that it
+        still generates (orbit and series machinery silently depend on that)."""
+        try:
+            sift_pairs(self, self, gens, gens)
+        except HomomorphismError:
+            raise ValueError("marked elements do not generate the group") from None
+        self.generators = list(gens)
+
+    def frattini_lines(self) -> Optional[list[int]]:
+        """For a 2-generated p-group: the maximal subgroup ('line' of the
+        Frattini quotient) containing each element, -1 inside Phi(G).
+        Two elements generate iff their lines exist and differ.  None for
+        any other group."""
+        if self._lines is None:
+            self._lines = []
+            if self.prime is None or self.order != len(frattini(self)) * self.prime**2:
+                return None
+            Q, proj = quotient_group(self, frattini(self))
+            line_of_coset = [-1] * Q.order
+            for c in range(1, Q.order):
+                if line_of_coset[c] >= 0:
+                    continue
+                members = []
+                x = c
+                while x != 0:
+                    members.append(x)
+                    x = Q.mul(x, c)
+                lid = min(members)
+                for m in members:
+                    line_of_coset[m] = lid
+            self._lines = [line_of_coset[q] for q in proj.full_map]
+        return self._lines or None
+
+
+FiniteGroup = PcGroup  # the public name of the one group class, kept for its callers
+
 
 # -- homomorphisms -----------------------------------------------------------
 
@@ -388,9 +395,9 @@ class PcGroup(FiniteGroup):
 class Homomorphism:
     """A total homomorphism given by its full index map."""
 
-    source: FiniteGroup
-    target: FiniteGroup
-    full_map: tuple[int, ...]
+    source: PcGroup
+    target: PcGroup
+    full_map: Sequence[int]  # a tuple, or a range for the identity map
     is_automorphism: bool = False
 
     def __call__(self, a: int) -> int:
@@ -400,14 +407,14 @@ class Homomorphism:
         return ElementSet(self.source, _pack(bytes(map((0).__eq__, self.full_map))), True, True)
 
 
-def _eval_word(H: FiniteGroup, images: list[int], word: Word) -> int:
+def _eval_word(H: PcGroup, images: list[int], word: Word) -> int:
     x = 0
     for g, e in word:
         x = H.mul(x, H.pow(images[g], e))
     return x
 
 
-def sift_pairs(G: PcGroup, H: FiniteGroup, gens: list[int], images: list[int]) -> list[int]:
+def sift_pairs(G: PcGroup, H: PcGroup, gens: list[int], images: list[int]) -> list[int]:
     """The images in H of G's pc generators under gens[k] -> images[k], by
     sifting the pairs (g, image) into an induced pc sequence of <gens> that
     carries the images (Holt, Eick and O'Brien, Handbook of Computational
@@ -544,7 +551,7 @@ class _Closure:
         return _pack(self.seen)
 
 
-def subgroup_closure(G: FiniteGroup, seeds: Iterable[int]) -> ElementSet:
+def subgroup_closure(G: PcGroup, seeds: Iterable[int]) -> ElementSet:
     """Smallest subgroup containing the seeds.
 
     Adjoins the seeds one by one to a single _Closure, skipping those
@@ -556,7 +563,7 @@ def subgroup_closure(G: FiniteGroup, seeds: Iterable[int]) -> ElementSet:
     return ElementSet(G, cl.mask(), True, False, tuple(cl.gens))
 
 
-def normal_closure(G: FiniteGroup, seeds: Iterable[int]) -> ElementSet:
+def normal_closure(G: PcGroup, seeds: Iterable[int]) -> ElementSet:
     """Smallest normal subgroup containing the seeds."""
     cl = _Closure(G)
     pending = [s for s in seeds]
@@ -567,21 +574,21 @@ def normal_closure(G: FiniteGroup, seeds: Iterable[int]) -> ElementSet:
     return ElementSet(G, cl.mask(), True, True, tuple(cl.gens))
 
 
-def is_normal(G: FiniteGroup, s: ElementSet) -> bool:
+def is_normal(G: PcGroup, s: ElementSet) -> bool:
     gens = s.gens if s.gens is not None else list(s.indices())
     return all(s.mask >> G.conjugate(h, g) & 1 for h in gens for g in G.generators)
 
 
-def conjugacy_class(G: FiniteGroup, a: int) -> ElementSet:
-    masks, class_id, _ = G.conjugacy_data()
-    return ElementSet(G, masks[class_id[a]])
+def conjugacy_class(G: PcGroup, a: int) -> ElementSet:
+    _, class_id, _ = G.conjugacy_data()
+    return ElementSet(G, G.class_mask(class_id[a]))
 
 
 @dataclass(frozen=True)
 class NormalSeries:
     """Descending series of normal subgroups with per-step annotations."""
 
-    group: FiniteGroup
+    group: PcGroup
     terms: tuple[ElementSet, ...]
     indices: tuple[int, ...]
     theta_invariant: tuple[Optional[bool], ...] = ()
@@ -594,7 +601,7 @@ def _series_indices(terms: list[ElementSet]) -> tuple[int, ...]:
     return tuple(len(a) // len(b) for a, b in zip(terms, terms[1:]))
 
 
-def lower_central_series(G: FiniteGroup) -> NormalSeries:
+def lower_central_series(G: PcGroup) -> NormalSeries:
     """G = gamma_1 >= gamma_2 >= ... terminating at 1."""
     if G._lcs is not None:
         return G._lcs
@@ -612,7 +619,7 @@ def lower_central_series(G: FiniteGroup) -> NormalSeries:
     return series
 
 
-def frattini(G: FiniteGroup) -> ElementSet:
+def frattini(G: PcGroup) -> ElementSet:
     """Frattini subgroup of a p-group: G' G^p."""
     if G._frattini is not None:
         return G._frattini
@@ -628,7 +635,7 @@ def frattini(G: FiniteGroup) -> ElementSet:
     return result
 
 
-def agemo(G: FiniteGroup, i: int) -> ElementSet:
+def agemo(G: PcGroup, i: int) -> ElementSet:
     """Subgroup generated by all p^i-th powers."""
     if G.prime is None:
         raise ValueError("agemo requires a p-group")
@@ -647,7 +654,8 @@ def agemo(G: FiniteGroup, i: int) -> ElementSet:
 def quotient_group(G: PcGroup, N: ElementSet) -> tuple[PcGroup, Homomorphism]:
     """G/N and the projection; rejects an N that is not a normal subgroup.
 
-    The trivial N gives G itself with the identity map.  Any other N gives
+    The trivial N gives G itself with the identity map, a range that holds
+    no per-element table.  Any other N gives
     quotient_pc_presentation(G, N, "<G>/N<|N|>")."""
     gens = list(N.gens) if N.gens is not None else list(N.indices())
     if not N.mask & 1:
@@ -658,7 +666,7 @@ def quotient_group(G: PcGroup, N: ElementSet) -> tuple[PcGroup, Homomorphism]:
     if not is_normal(G, N):
         raise ValueError("N is not normal")
     if N.mask == 1:
-        return G, Homomorphism(G, G, tuple(range(G.order)), True)
+        return G, Homomorphism(G, G, range(G.order), True)
     return quotient_pc_presentation(G, N, f"{G.name}/N{len(N)}")
 
 

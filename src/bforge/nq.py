@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from .errors import CapExceeded, ShapeError
+from .groups import DEFAULT_ORDER_CAP
 from .pc import Collector, PcPresentation, Word, make_presentation, overlap_checks, require_consistent
 from .zlinalg import hermite_form, hnf_reduce
 
@@ -233,6 +234,9 @@ def extend_class(lp: LayeredPresentation, tp: TriangleParams) -> LayeredPresenta
             word = tuple(pres.comm_tails.get((j, i), ())) + layer_tail_of(("comm", j, i))
             if word:
                 comm_tails[(j, i)] = word
+    for t in surviving:  # w_t^(H[t][t]) is the word that the rest of row t negates
+        y = hnf_reduce(H, [0] * (t + 1) + [-v for v in H[t][t + 1:]])
+        power_tails[pos_of[t]] = tuple((pos_of[s], y[s]) for s in surviving if y[s])
     out = make_presentation(
         _name(tp, c + 1),
         list(pres.names) + new_names,
@@ -248,7 +252,7 @@ def extend_class(lp: LayeredPresentation, tp: TriangleParams) -> LayeredPresenta
 def triangle_quotient(
     tp: TriangleParams,
     class_bound: int = DEFAULT_CLASS_BOUND,
-    order_cap: int = 10**6,
+    order_cap: int = DEFAULT_ORDER_CAP,
 ) -> LayeredPresentation:
     """T/gamma_{class_bound+1}(T) as a layered presentation (or the smaller
     stabilized quotient when the lower central series terminates early)."""

@@ -220,7 +220,8 @@ def criterion_5(cache: GroupCache) -> CriterionResult:
 
 
 def criterion_6(cache: GroupCache) -> CriterionResult:
-    """Refinement series: normal, theta-invariant, every index exactly p."""
+    """Refinement series: normal, theta-invariant, every index exactly p
+    (refinement_series raises AssertionError otherwise)."""
     t0 = time.perf_counter()
     details: list[str] = []
     ok = True
@@ -228,18 +229,13 @@ def criterion_6(cache: GroupCache) -> CriterionResult:
     for key, weights in jobs:
         pg = cache.get(key)
         for i in weights:
-            series = refinement_series(pg, i, check=False)
-            from .groups import is_normal
-
-            normal_ok = all(is_normal(pg.group, term) for term in series.terms)
-            theta_ok = all(series.theta_invariant)
-            index_ok = all(idx == pg.p for idx in series.indices)
-            ok = _check(
-                details,
-                ok,
-                normal_ok and theta_ok and index_ok,
-                f"{pg.group.name} weight {i}: orders {series.orders()}, indices {series.indices}",
-            )
+            try:
+                series = refinement_series(pg, i)
+            except AssertionError as exc:
+                ok = _check(details, ok, False, f"{pg.group.name} weight {i}: {exc}")
+                continue
+            msg = f"{pg.group.name} weight {i}: orders {series.orders()}, indices {series.indices}"
+            ok = _check(details, ok, True, msg)
     return CriterionResult(6, "refinement series", ok, time.perf_counter() - t0, 60, details)
 
 

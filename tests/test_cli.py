@@ -249,6 +249,27 @@ def test_series_case_ii(workdir, capsys):
     assert any(t["quotient_strongly_real"] for t in rep["terms"])
 
 
+def test_series_lift_path_cross_checks_small_quotients(workdir, capsys, monkeypatch):
+    # --sigma-cap 10 sends every quotient of order > 10 down the lift path;
+    # at order <= 10^4 lift_check also decides the structure directly
+    import bforge.beauville as beauville
+
+    reports = []
+
+    def spy(*args, **kwargs):
+        reports.append(lift_check(*args, **kwargs))
+        return reports[-1]
+
+    lift_check = beauville.lift_check
+    monkeypatch.setattr(beauville, "lift_check", spy)
+    run(capsys, "construct", "--family", "case-ii", "--k", "1")
+    code, rep = run(capsys, "series", "--group", "case_ii_3_1.pcp", "--sigma-cap", "10")
+    assert code == 0
+    assert any(t["lift"] for t in rep["terms"])
+    assert reports and all(r.direct_check is not None for r in reports)
+    assert any(r.verdict and r.direct_check for r in reports)
+
+
 def test_series_case_i_all_quotients_strongly_real(workdir, capsys):
     # for p > 3 every quotient of the class-2 group down to the
     # abelianization carries the structure

@@ -1,5 +1,6 @@
 import pytest
 
+from bforge import families
 from bforge.errors import CapExceeded
 from bforge.families import (
     build_abelian,
@@ -13,6 +14,8 @@ from bforge.families import (
     refinement_series,
 )
 from bforge.groups import (
+    DEFAULT_ORDER_CAP,
+    PcGroup,
     hom_from_images,
     is_normal,
     lower_central_series,
@@ -41,6 +44,26 @@ def test_case_iii_requires_k_at_least_two():
 def test_cap_enforced():
     with pytest.raises(CapExceeded):
         build_case_i(5, 3, cap=10**6)  # 5^9 > 10^6
+
+
+_FAMILY_ARGS = [("case-i", {"p": 5, "k": 1}), ("case-ii", {"k": 1}), ("case-iii", {"k": 2}),
+                ("negative", {"k": 1}), ("abelian", {"n": 5})]
+
+
+@pytest.mark.parametrize("family,kwargs", _FAMILY_ARGS)
+def test_every_family_hands_its_cap_to_pcgroup(monkeypatch, family, kwargs):
+    # PcGroup is the one place that compares an order with the cap
+    caps = []
+
+    def spy(pres, cap=DEFAULT_ORDER_CAP):
+        caps.append(cap)
+        return PcGroup(pres, cap)
+
+    monkeypatch.setattr(families, "PcGroup", spy)
+    build_family(family, cap=4321, **kwargs)
+    assert caps == [4321]  # the negative family's quotient is built in groups
+    with pytest.raises(CapExceeded, match="exceeds cap 24$"):
+        build_family(family, cap=24, **kwargs)
 
 
 @pytest.mark.parametrize(

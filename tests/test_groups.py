@@ -23,6 +23,7 @@ from bforge.errors import CapExceeded, HomomorphismError
 from bforge.families import build_abelian, build_case_i, build_case_ii, build_negative
 from bforge.groups import (
     BYTES_PER_ELEMENT,
+    Homomorphism,
     PcGroup,
     _extend,
     agemo,
@@ -58,6 +59,19 @@ def test_memory_guard(monkeypatch):
         PcGroup(pres)
     monkeypatch.setattr("bforge.groups.memory_limit", lambda: 125 * BYTES_PER_ELEMENT)
     assert PcGroup(pres).order == 125
+
+
+def test_memory_guard_counts_step_tables(monkeypatch):
+    # relative order 125 means 124 step tables per generator, far above
+    # BYTES_PER_ELEMENT: 8 bytes per table slot, 28 per generator, 512 more
+    pres = make_presentation("c125sq", ["a", "b"], [125, 125])
+    need = 125**2 * (8 * 248 + 28 * 2 + 512)
+    assert need > 125**2 * BYTES_PER_ELEMENT
+    monkeypatch.setattr("bforge.groups.memory_limit", lambda: need - 1)
+    with pytest.raises(CapExceeded, match="group order 15625 needs about 38 MB"):
+        PcGroup(pres)
+    monkeypatch.setattr("bforge.groups.memory_limit", lambda: need)
+    assert PcGroup(pres).order == 15625
 
 
 def test_associativity_exhaustive_small(c5c5):
@@ -222,6 +236,15 @@ def test_element_orders_match_brute(g22):
         assert G.element_order(a) == brute_order(G, a)
 
 
+@pytest.mark.parametrize("n", [12, 30])
+def test_element_orders_match_brute_beyond_p_groups(n):
+    # |G| = n^2 with two or three primes: the order is the product of the
+    # orders of the p-parts a^(|G|/p^k)
+    G = build_abelian(n).group
+    assert G.prime is None
+    assert [G.element_order(a) for a in range(G.order)] == [brute_order(G, a) for a in range(G.order)]
+
+
 # -- conjugacy ----------------------------------------------------------------
 
 
@@ -240,7 +263,10 @@ def test_class_of_x_in_g51(g51):
 
 def test_classes_partition_group(g31):
     G = g31.group
-    masks, class_id, reps = G.conjugacy_data()
+    sizes, class_id, reps = G.conjugacy_data()
+    masks = [conjugacy_class(G, r).mask for r in reps]  # packed on first use
+    assert [m.bit_count() for m in masks] == sizes
+    assert all(class_id[r] == cid for cid, r in enumerate(reps))
     assert sum(m.bit_count() for m in masks) == G.order
     assert all(G.order % m.bit_count() == 0 for m in masks)
     union = 0
@@ -263,7 +289,8 @@ def test_classes_match_brute(neg1):
 def test_power_classes_match_brute(neg1, g22):
     # the per-class key: the classes met by <a>, from brute_class of every power
     for G in (neg1.group, g22.group, build_abelian(6).group):
-        masks, _, _ = G.conjugacy_data()
+        _, _, reps = G.conjugacy_data()
+        masks = [conjugacy_class(G, r).mask for r in reps]  # by class id
         brute = {}
         for a in range(G.order):
             powers = [G.pow(a, j) for j in range(brute_order(G, a))]
@@ -435,6 +462,17 @@ def test_quotient_by_trivial_is_isomorphic_copy(g51):
     Q, proj = quotient_group(G, G.trivial_set())
     assert Q.order == G.order
     assert len(set(proj.full_map)) == G.order
+
+
+def test_trivial_quotient_projection_holds_no_table(g31):
+    G = g31.group
+    Q, proj = quotient_group(G, G.trivial_set())
+    assert Q is G and proj.is_automorphism
+    assert isinstance(proj.full_map, range)
+    assert [proj.full_map[a] for a in range(G.order)] == [proj(a) for a in range(G.order)] == list(range(G.order))
+    tabled = Homomorphism(G, G, tuple(range(G.order)), True)  # the map as a table
+    assert proj.kernel() == tabled.kernel()
+    assert proj.kernel().mask == 1
 
 
 def test_quotient_negative_order(g31):

@@ -1,5 +1,5 @@
 import hashlib
-from math import comb
+from math import comb, prod
 
 import pytest
 from oracle import assert_central_suffix_agrees
@@ -272,3 +272,63 @@ def test_class_five_presentations_pinned(params):
     lp = triangle_quotient(TriangleParams(*params), 5, order_cap=10**40)
     text = print_pcp(PcpFile(lp.pres))
     assert hashlib.sha256(text.encode()).hexdigest() == _CLASS_FIVE_SHA256[params]
+
+
+# -- power relations of the new layer generators ----------------------------------
+
+
+@pytest.mark.parametrize("p,k,c", [(3, 2, 4), (2, 3, 5), (5, 2, 5)])
+def test_new_generator_power_tail_is_its_reduced_hermite_row(monkeypatch, p, k, c):
+    # w_t^(H[t][t]) must be the reduced word that makes H[t][t] e_t minus
+    # the tail vanish modulo the Hermite lattice, i.e. the rest of row t
+    # negated; before the fix every new generator had the empty tail
+    hermite = []
+
+    def spy(rows, m):
+        hermite.append(hermite_form(rows, m))
+        return hermite[-1]
+
+    monkeypatch.setattr("bforge.nq.hermite_form", spy)
+    tp = TriangleParams(p, k)
+    lp = initial_class_quotient(tp)
+    nontrivial = 0
+    while lp.nilpotency_class < c:
+        nxt = extend_class(lp, tp)
+        H, n = hermite[-1], lp.pres.ngens
+        surviving = [t for t in range(len(H)) if H[t][t] > 1]
+        for pos, t in enumerate(surviving):
+            y = [0] * len(H)
+            for g, e in nxt.pres.power_tails[n + pos]:
+                assert g >= n  # a word in the new layer alone
+                y[surviving[g - n]] = e
+            assert all(0 <= y[s] < H[s][s] for s in range(len(H)))
+            v = [-e for e in y]
+            v[t] += H[t][t]
+            assert not any(hnf_reduce(H, v))
+            nontrivial += bool(nxt.pres.power_tails[n + pos])
+        lp = nxt
+    assert nontrivial  # these inputs need the relation
+
+
+@pytest.mark.parametrize(
+    "p,k,c,layers",
+    [
+        (3, 2, 4, [81, 9, 81, 243]),
+        (2, 3, 5, [64, 4, 16, 64, 2048]),
+        (5, 2, 5, [625, 25, 625, 15625, 48828125]),
+    ],
+)
+def test_quotients_that_need_power_relations(p, k, c, layers):
+    # (3, 2) class 4 and (2, 3) class 5 were inconsistent, and at (5, 2)
+    # class 5 (ab)^25 did not collect to 1, while the new generators had
+    # no power relations
+    tp = TriangleParams(p, k)
+    lp = triangle_quotient(tp, c, order_cap=10**40)
+    assert consistency_check(lp.pres) is None
+    assert lp.nilpotency_class == c and not lp.stabilized
+    assert [s for _, s in sorted(lp.layer_sizes().items())] == layers
+    assert lp.order() == prod(layers)
+    coll = Collector(lp.pres)
+    a, b = coll.collect(lp.a_word), coll.collect(lp.b_word)
+    for base, e in ((a, tp.q), (b, tp.q), (coll.mul(a, b), tp.rr)):
+        assert coll.power(base, e) == coll.identity
