@@ -17,7 +17,6 @@ from .groups import (
     induced_automorphism,
     lower_central_series,
     quotient_group,
-    subgroup_closure,
 )
 
 PROVE_NONE_CAP = 2000
@@ -65,12 +64,15 @@ def sigma(G: PcGroup, x: int, y: int) -> ElementSet:
 
 
 def is_generating_pair(G: PcGroup, x: int, y: int) -> bool:
-    """Whether <x, y> = G; via the Frattini quotient for 2-generated
-    p-groups, by closure otherwise."""
-    lines = G.frattini_lines()
-    if lines is not None:
-        return lines[x] >= 0 and lines[y] >= 0 and lines[x] != lines[y]
-    return len(subgroup_closure(G, [x, y])) == G.order
+    """Whether <x, y> = G: G is nilpotent, so exactly when the images A, B
+    of <x>, <y> in Q = G/Phi(G) have AB = Q (PcGroup.frattini_lines)."""
+    lines, ranks = G.frattini_lines()
+    return _lines_generate(lines[x], lines[y], ranks)
+
+
+def _lines_generate(a: tuple[int, ...], b: tuple[int, ...], ranks: tuple[int, ...]) -> bool:
+    """AB = Q for line ids a, b: their lines span each F_p^(d_p) of Q."""
+    return all((u > 0) + (v > 0 and v != u) == d for u, v, d in zip(a, b, ranks))
 
 
 def check_beauville(G: PcGroup, pair1: GenPair, pair2: GenPair) -> BeauvilleCertificate:
@@ -209,25 +211,18 @@ def _generating_pairs(G: PcGroup):
     generating partners, so the weights sum to the number of generating
     pairs.  The sigma-equivalence key is the set of power classes of x, y
     and xy: pairs with equal keys have equal sigma sets."""
+    lines, ranks = G.frattini_lines()
+    if max(ranks, default=0) > 2:  # Q needs more than two generators
+        return
     sizes, class_id, reps = G.conjugacy_data()
     per_class = [G.power_classes(r) for r in reps]  # conjugates share their power classes
     keys = [per_class[c] for c in class_id]
-    lines = G.frattini_lines()
-    if lines is None:  # not a 2-generated p-group: a closure per pair
-
-        def partners(x: int):
-            return (y for y in range(1, G.order) if is_generating_pair(G, x, y))
-    else:  # x and y generate iff their Frattini lines exist and differ
-        by_line = {
-            line: [y for y, ly in enumerate(lines) if ly >= 0 and ly != line] if line >= 0 else []
-            for line in set(lines)
-        }
-
-        def partners(x: int):
-            return by_line[lines[x]]
-
-    for x, weight in zip(reps[1:], sizes[1:]):
-        for y in partners(x):
+    partners = {}
+    for x, weight in zip(reps, sizes):
+        if (a := lines[x]) not in partners:  # generation decided once per pair of line ids
+            gen = {b for b in set(lines) if _lines_generate(a, b, ranks)}
+            partners[a] = [y for y, b in enumerate(lines) if b in gen]
+        for y in partners[a]:
             yield x, y, frozenset((keys[x], keys[y], keys[G.mul(x, y)])), weight
 
 

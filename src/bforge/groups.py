@@ -36,9 +36,25 @@ DEFAULT_ORDER_CAP = 10**6
 BYTES_PER_ELEMENT = 1024
 
 
+def mem_available(meminfo: str) -> Optional[int]:
+    """Bytes of MemAvailable in the text of /proc/meminfo, or None."""
+    for line in meminfo.splitlines():
+        if line.startswith("MemAvailable:"):
+            return int(line.split()[1]) * 1024
+    return None
+
+
 def memory_limit() -> int:
-    """Bytes this process may use: physical memory, or RLIMIT_AS when lower."""
-    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    """Bytes this process may still take: the memory available now (the
+    physical memory when /proc/meminfo cannot be read), or RLIMIT_AS when
+    lower."""
+    try:
+        with open("/proc/meminfo") as f:
+            limit = mem_available(f.read())
+    except OSError:
+        limit = None
+    if limit is None:
+        limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     soft = resource.getrlimit(resource.RLIMIT_AS)[0]
     return limit if soft == resource.RLIM_INFINITY else min(limit, soft)
 
@@ -137,7 +153,7 @@ class PcGroup:
         self._lcs: Optional[NormalSeries] = None
         self._frattini: Optional[ElementSet] = None
         self._exponent: Optional[int] = None
-        self._lines: Optional[list[int]] = None  # [] once known not to apply
+        self._lines: Optional[tuple[list[tuple[int, ...]], tuple[int, ...]]] = None
         self._build_gen_step()
 
     # -- construction --------------------------------------------------------
@@ -359,30 +375,29 @@ class PcGroup:
             raise ValueError("marked elements do not generate the group") from None
         self.generators = list(gens)
 
-    def frattini_lines(self) -> Optional[list[int]]:
-        """For a 2-generated p-group: the maximal subgroup ('line' of the
-        Frattini quotient) containing each element, -1 inside Phi(G).
-        Two elements generate iff their lines exist and differ.  None for
-        any other group."""
+    def frattini_lines(self) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
+        """(lines, ranks): Q = G/Phi(G) is the product over the primes p of
+        |G| of F_p^(d_p), with ranks the d_p (see frattini).  lines[a] is the
+        id of <a Phi(G)>: the tuple over p of the least index in Q of the line
+        <a^(r/p) Phi(G)>, r the product of the primes (0 when it is trivial).
+        For a p-group that is (a's Frattini line,), and (0,) inside Phi(G)."""
         if self._lines is None:
-            self._lines = []
-            if self.prime is None or self.order != len(frattini(self)) * self.prime**2:
-                return None
             Q, proj = quotient_group(self, frattini(self))
-            line_of_coset = [-1] * Q.order
-            for c in range(1, Q.order):
-                if line_of_coset[c] >= 0:
-                    continue
-                members = []
-                x = c
-                while x != 0:
-                    members.append(x)
-                    x = Q.mul(x, c)
-                lid = min(members)
-                for m in members:
-                    line_of_coset[m] = lid
-            self._lines = [line_of_coset[q] for q in proj.full_map]
-        return self._lines or None
+            primes = [p for p, _ in self._p_parts]
+            least = {0: 0}  # element of prime order in Q -> least index of its line
+
+            def part(c: int, p: int) -> int:
+                h = Q.pow(c, prod(primes) // p)
+                if h not in least:
+                    members = [h]
+                    while x := Q.mul(members[-1], h):
+                        members.append(x)
+                    least.update(dict.fromkeys(members, min(members)))
+                return least[h]
+
+            ids = [tuple(part(c, p) for p in primes) for c in range(Q.order)]
+            self._lines = ([ids[q] for q in proj.full_map], tuple(Q.presentation.orders.count(p) for p in primes))
+        return self._lines
 
 
 FiniteGroup = PcGroup  # the public name of the one group class, kept for its callers
@@ -620,15 +635,15 @@ def lower_central_series(G: PcGroup) -> NormalSeries:
 
 
 def frattini(G: PcGroup) -> ElementSet:
-    """Frattini subgroup of a p-group: G' G^p."""
+    """Frattini subgroup G' G^r, r the product of the primes of |G|: every
+    tail lies in later generators, so a PcGroup is nilpotent, the product of
+    its Sylow subgroups P, and Phi(G) is the product of their P' P^p."""
     if G._frattini is not None:
         return G._frattini
-    if G.prime is None:
-        raise ValueError("frattini requires a p-group")
     lcs = lower_central_series(G)
     gamma2 = lcs.terms[1] if len(lcs.terms) > 1 else G.trivial_set()
     seeds = list(gamma2.gens or gamma2.indices())
-    seeds += [G.pow(g, G.prime) for g in G.generators]
+    seeds += [G.pow(g, prod(p for p, _ in G._p_parts)) for g in G.generators]
     sub = subgroup_closure(G, seeds)
     result = ElementSet(G, sub.mask, True, True, sub.gens)
     G._frattini = result

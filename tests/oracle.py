@@ -7,6 +7,7 @@ avoiding the cached class/closure machinery under test.
 from __future__ import annotations
 
 import random
+from math import prod
 
 from bforge.pc import Collector
 
@@ -112,8 +113,9 @@ def brute_commutator_subgroup(G, members) -> set[int]:
 
 
 def brute_frattini(G) -> set[int]:
-    p = G.prime
-    seeds = {G.pow(g, p) for g in range(G.order)}
+    """G' G^r, r the product of the primes of |G|: Phi(G) for nilpotent G."""
+    r = prod(p for p in range(2, G.order + 1) if G.order % p == 0 and all(p % q for q in range(2, p)))
+    seeds = {G.pow(g, r) for g in range(G.order)}
     seeds |= {G.comm(g, h) for g in range(G.order) for h in range(G.order)}
     return brute_closure(G, seeds)
 

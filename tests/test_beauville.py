@@ -37,7 +37,7 @@ from bforge.groups import (
     subgroup_closure,
 )
 from bforge.nq import TriangleParams, triangle_quotient
-from bforge.pc import make_presentation
+from bforge.pc import make_presentation, prime_power_base
 
 
 # -- sigma ----------------------------------------------------------------------
@@ -110,6 +110,36 @@ def test_is_generating_matches_brute(g22, c5c5):
         for _ in range(40):
             x, y = rng.randrange(G.order), rng.randrange(G.order)
             assert is_generating_pair(G, x, y) == brute_is_generating(G, x, y)
+
+
+def _c4c2_power_tail():
+    # a^2 = b: C_4 x C_2 with a power tail
+    return PcGroup(make_presentation("c4c2", ("a", "b", "c"), (2, 2, 2), {0: ((1, 1),)}))
+
+
+def _c12():
+    # a^2 = b: cyclic, and not a p-group, so pairs with the identity generate
+    return PcGroup(make_presentation("c12", ("a", "b", "c"), (2, 2, 3), {0: ((1, 1),)}))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_abelian(6).group,
+        lambda: _h3c2()[0],
+        lambda: PcGroup(make_presentation("c3c3c3", ("a", "b", "c"), (3, 3, 3))),
+        _c4c2_power_tail,
+        _c12,
+    ],
+    ids=["c6c6", "h3c2", "c3c3c3", "c4c2-tail", "c12"],
+)
+def test_is_generating_matches_brute_on_every_pair(build):
+    # generation decided in G/Phi(G) against closures of every ordered pair;
+    # no pair generates C_3^3, whose Frattini quotient has rank 3
+    G = build()
+    verdicts = [[brute_is_generating(G, x, y) for y in range(G.order)] for x in range(G.order)]
+    assert [[is_generating_pair(G, x, y) for y in range(G.order)] for x in range(G.order)] == verdicts
+    assert any(map(any, verdicts)) == (G.name != "c3c3c3")
 
 
 def test_is_generating_non_p_group():
@@ -393,9 +423,16 @@ def test_search_find_on_beauville_group_matches_direct(g51):
 
 
 def _theory_pairs(G):
-    # generating pairs of a 2-generated p-group: |G|^2 (1 - 1/p)(1 - 1/p^2)
-    p = G.prime
-    return G.order**2 * (p - 1) * (p * p - 1) // p**3
+    # generating pairs of a 2-generated nilpotent group:
+    # |G|^2 prod over the primes p of |G| of (1 - 1/p)(1 - 1/p^2)
+    n = G.order**2
+    for p in {prime_power_base(m) for m in G.presentation.orders}:
+        n = n * (p - 1) * (p * p - 1) // p**3
+    return n
+
+
+_MORE_ABELIAN = [n for n in [*range(2, 21), 30] if n not in (5, 7, 9, 13)]
+_PINNED_PAIRS = {144: 4608, 900: 138240, 1024: 393216}  # by order: C_12^2, C_30^2, tq-2-2-c4
 
 
 @pytest.mark.parametrize(
@@ -409,12 +446,19 @@ def _theory_pairs(G):
         lambda: build_case_i(5, 1),
         lambda: build_case_ii(1),
         lambda: build_case_iii(2),
+        *[lambda n=n: build_abelian(n) for n in _MORE_ABELIAN],
+        lambda: paper_group_from_nq(triangle_quotient(TriangleParams(2, 2), 4), TriangleParams(2, 2)),
     ],
-    ids=["neg1", "c5c5", "c7c7", "c9c9", "c13c13", "case-i-5-1", "case-ii-1", "case-iii-2"],
+    ids=[
+        "neg1", "c5c5", "c7c7", "c9c9", "c13c13", "case-i-5-1", "case-ii-1", "case-iii-2",
+        *[f"c{n}c{n}" for n in _MORE_ABELIAN], "tq-2-2-c4",
+    ],
 )
 def test_search_pair_count_matches_theory(build):
+    # composite and mixed-prime n too: every PcGroup is nilpotent
     G = build().group
-    assert exhaustive_search(G, "find").generating_pairs == _theory_pairs(G)
+    count = exhaustive_search(G, "find").generating_pairs
+    assert count == _theory_pairs(G) == _PINNED_PAIRS.get(G.order, count)
 
 
 def test_search_find_past_order_1024():
@@ -436,6 +480,11 @@ def _h3c2():
     return G, hom_from_images(G, G, [c, x, y, z], [c, G.inv(x), G.inv(y), z])
 
 
+def _c12_inverted():
+    G = _c12()
+    return G, hom_from_images(G, G, G.strides, [G.inv(s) for s in G.strides])
+
+
 def _paper(build, make_theta=lambda pg: pg.theta):
     def make():
         pg = build()
@@ -453,8 +502,9 @@ def _paper(build, make_theta=lambda pg: pg.theta):
         _paper(lambda: build_case_i(5, 1), _swap),
         _paper(lambda: build_abelian(6)),
         _h3c2,
+        _c12_inverted,
     ],
-    ids=["neg1", "case-ii-1", "case-i-5-1", "case-i-5-1-swap", "c6c6", "h3c2"],
+    ids=["neg1", "case-ii-1", "case-i-5-1", "case-i-5-1-swap", "c6c6", "h3c2", "c12"],
 )
 def test_search_matches_brute_force_oracle(build):
     # x runs over class representatives only; the oracle walks every ordered

@@ -33,6 +33,7 @@ from bforge.groups import (
     hom_from_images,
     induced_automorphism,
     lower_central_series,
+    mem_available,
     normal_closure,
     quotient_group,
     subgroup_closure,
@@ -434,6 +435,32 @@ def test_frattini_g22_index_four(g22):
     assert len(f) == 32
     assert g22.group.order // len(f) == 4
     assert set(f.indices()) == brute_frattini(g22.group)
+
+
+@pytest.mark.parametrize(
+    "build,size",
+    [
+        (lambda: build_abelian(6).group, 1),
+        (lambda: build_abelian(12).group, 4),
+        (lambda: build_abelian(20).group, 4),
+        (lambda: build_abelian(36).group, 36),
+        (lambda: PcGroup(make_presentation("h3c2", ("c", "x", "y", "z"), (2, 3, 3, 3), {}, {(2, 1): ((3, 1),)})), 3),
+    ],
+    ids=["c6c6", "c12c12", "c20c20", "c36c36", "h3c2"],
+)
+def test_frattini_beyond_p_groups(build, size):
+    # Phi(C_n x C_n) = C_(n/r) x C_(n/r), r the product of the primes of n;
+    # Phi(Heisenberg(3) x C_2) is the Heisenberg centre
+    G = build()
+    f = frattini(G)
+    assert len(f) == size
+    assert set(f.indices()) == brute_frattini(G)
+
+
+def test_mem_available_reads_meminfo_text():
+    text = "MemTotal:        8211456 kB\nMemFree:         1024 kB\nMemAvailable:    7721984 kB\nBuffers: 2 kB\n"
+    assert mem_available(text) == 7721984 * 1024
+    assert mem_available("MemTotal:        8211456 kB\n") is None
 
 
 def test_agemo_zero_is_group(g51):

@@ -328,6 +328,8 @@ def test_quotients_that_need_power_relations(p, k, c, layers):
     assert lp.nilpotency_class == c and not lp.stabilized
     assert [s for _, s in sorted(lp.layer_sizes().items())] == layers
     assert lp.order() == prod(layers)
+    # weight w has at most W(2, w) generators, the rank of the free Lie ring's degree-w part
+    assert all(lp.weights.count(w) <= witt for w, witt in zip(range(1, c + 1), (2, 1, 2, 3, 6)))
     coll = Collector(lp.pres)
     a, b = coll.collect(lp.a_word), coll.collect(lp.b_word)
     for base, e in ((a, tp.q), (b, tp.q), (coll.mul(a, b), tp.rr)):
