@@ -10,7 +10,6 @@ from typing import Optional
 from .errors import CapExceeded
 from .families import PaperGroup
 from .groups import (
-    ElementSet,
     Homomorphism,
     PcGroup,
     agemo,
@@ -55,12 +54,12 @@ class BeauvilleCertificate:
     diagnostics: tuple[str, ...] = ()
 
 
-def sigma(G: PcGroup, x: int, y: int) -> ElementSet:
-    """Union of all conjugates of <x>, <y> and <xy>: the forbidden set of the
-    pair.  Computed as a union of conjugacy classes of powers."""
-    xy = G.mul(x, y)
-    mask = G.conjugate_union(x) | G.conjugate_union(y) | G.conjugate_union(xy)
-    return ElementSet(G, mask)
+def sigma(G: PcGroup, x: int, y: int) -> int:
+    """The union of all conjugates of <x>, <y> and <xy>, the forbidden set of
+    the pair, as a mask over conjugacy-class ids: it is a union of classes.
+    Classes partition G, so two sigma sets meet only in the identity exactly
+    when their masks meet only in bit 0, the identity's class."""
+    return G.power_classes(x) | G.power_classes(y) | G.power_classes(G.mul(x, y))
 
 
 def is_generating_pair(G: PcGroup, x: int, y: int) -> bool:
@@ -77,7 +76,9 @@ def _lines_generate(a: tuple[int, ...], b: tuple[int, ...], ranks: tuple[int, ..
 
 def check_beauville(G: PcGroup, pair1: GenPair, pair2: GenPair) -> BeauvilleCertificate:
     """Decide Sigma(pair1) ^ Sigma(pair2) = 1 for two generating pairs by
-    intersecting the full sigma sets."""
+    intersecting their class-id masks.  The witness is the rep of the least
+    shared class other than the identity's: ids ascend with the reps, and
+    each rep is its class's least index, so it is the least common element."""
     diagnostics = []
     if G.order == 1:
         diagnostics.append("trivial group")
@@ -85,11 +86,11 @@ def check_beauville(G: PcGroup, pair1: GenPair, pair2: GenPair) -> BeauvilleCert
     if not pair1.generating or not pair2.generating:
         diagnostics.append("not generating")
         return BeauvilleCertificate(pair1, pair2, False, None, diagnostics=tuple(diagnostics))
-    inter = sigma(G, pair1.x, pair1.y).mask & sigma(G, pair2.x, pair2.y).mask & ~1
+    inter = sigma(G, pair1.x, pair1.y) & sigma(G, pair2.x, pair2.y) & ~1
     if not inter:
         return BeauvilleCertificate(pair1, pair2, True)
-    witness = (inter & -inter).bit_length() - 1
-    return BeauvilleCertificate(pair1, pair2, False, witness)
+    _, _, reps = G.conjugacy_data()
+    return BeauvilleCertificate(pair1, pair2, False, reps[(inter & -inter).bit_length() - 1])
 
 
 def check_strongly_real(
@@ -209,8 +210,8 @@ def _generating_pairs(G: PcGroup):
     whose x is a conjugacy-class representative (the class's least index);
     weight is the size of x's class, and conjugates of x have as many
     generating partners, so the weights sum to the number of generating
-    pairs.  The sigma-equivalence key is the set of power classes of x, y
-    and xy: pairs with equal keys have equal sigma sets."""
+    pairs.  The sigma-equivalence key is the set of the power-class masks of
+    x, y and xy: pairs with equal keys have equal sigma sets."""
     lines, ranks = G.frattini_lines()
     if max(ranks, default=0) > 2:  # Q needs more than two generators
         return
@@ -276,7 +277,7 @@ def exhaustive_search(
             classes.setdefault(key, (x, y))
         reps = [(x, y, None) for x, y in classes.values()]
     found: Optional[BeauvilleCertificate] = None
-    hit = _first_disjoint_pair([sigma(G, x, y).mask for x, y, _ in reps])
+    hit = _first_disjoint_pair([sigma(G, x, y) for x, y, _ in reps])
     if hit is not None:
         (x1, y1, g1), (x2, y2, g2) = reps[hit[0]], reps[hit[1]]
         found = check_beauville(G, GenPair.make(G, x1, y1), GenPair.make(G, x2, y2))
@@ -290,7 +291,7 @@ def exhaustive_search(
 
 def _first_disjoint_pair(masks: list[int]) -> Optional[tuple[int, int]]:
     """The canonically least index pair whose sigma masks meet only in the
-    identity, or None."""
+    identity's class, or None."""
     for i, mi in enumerate(masks):
         for j in range(i + 1, len(masks)):
             if mi & masks[j] == 1:

@@ -30,7 +30,6 @@ from .beauville import (
     quotient_strongly_real,
     recipe_exponents,
     search_cap,
-    sigma,
 )
 from .errors import CapExceeded, HomomorphismError, PcpSyntaxError, ShapeError
 from .families import FAMILIES, PaperGroup, _finish, build_family, pc_names, refinement_series
@@ -228,33 +227,10 @@ def group_stats(pg: PaperGroup) -> dict:
     if root is not None:
         try:
             (root / "stats").mkdir(parents=True, exist_ok=True)
-            (root / "groups").mkdir(parents=True, exist_ok=True)
             _write_atomic(root / "stats" / f"{key}.json", json.dumps(stats, sort_keys=True))
-            gpath = root / "groups" / f"{key}.pcp"
-            if not gpath.exists():
-                _write_atomic(gpath, serialize_paper_group(pg))
         except OSError:
             pass
     return stats
-
-
-def record_sigma_digest(pg: PaperGroup, pair_desc: str, mask: int) -> None:
-    root = cache_dir()
-    if root is None:
-        return
-    key = _pres_hash(pg)
-    digest = hashlib.sha256(mask.to_bytes((mask.bit_length() + 7) // 8 or 1, "little")).hexdigest()
-    path = root / "sigma" / f"{key}.json"
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        data = json.loads(path.read_text()) if path.exists() else {}
-        prior = data.get(pair_desc)
-        if prior is not None and prior != digest:
-            print(f"warning: sigma digest changed for {pair_desc}", file=sys.stderr)
-        data[pair_desc] = digest
-        _write_atomic(path, json.dumps(data, sort_keys=True))
-    except (OSError, json.JSONDecodeError):
-        pass
 
 
 # -- reports ------------------------------------------------------------------
@@ -382,8 +358,6 @@ def cmd_verify(args) -> int:
     else:
         cert = check_beauville(G, pair1, pair2)
         verified = cert.beauville
-    record_sigma_digest(pg, pair_desc + " [1]", sigma(G, pair1.x, pair1.y).mask)
-    record_sigma_digest(pg, pair_desc + " [2]", sigma(G, pair2.x, pair2.y).mask)
     payload = {
         "version": __version__,
         "command": ["verify", pair_desc, f"strong={args.strong}"],

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import os
 import resource
-from array import array
 from dataclasses import dataclass
 from math import gcd, prod
 from typing import Iterable, Iterator, Optional, Sequence
@@ -79,8 +78,9 @@ def bit_indices(mask: int) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class ElementSet:
-    """Dense index-set over a group; the working currency for subgroups,
-    conjugacy classes and sigma sets."""
+    """Dense index-set over a group; the working currency for subgroups and
+    conjugacy classes.  (Sigma sets are masks over class ids, not over
+    elements: see beauville.sigma.)"""
 
     group: "PcGroup"
     mask: int
@@ -147,9 +147,7 @@ class PcGroup:
         self._order_cache: dict[int, int] = {}
         self._inv_cache: dict[int, int] = {}
         self._classes: Optional[tuple[list[int], list[int], list[int]]] = None
-        self._class_masks: dict[int, int] = {}
-        self._power_classes: dict[int, frozenset] = {}
-        self._conj_union_cache: dict[frozenset, int] = {}
+        self._power_classes: dict[int, int] = {}
         self._lcs: Optional[NormalSeries] = None
         self._frattini: Optional[ElementSet] = None
         self._exponent: Optional[int] = None
@@ -298,15 +296,14 @@ class PcGroup:
         """(class size per class id, class id per element, class reps).
 
         Classes are orbits under conjugation by the marked generators, which
-        generate the group; computed once and cached.  The orbits are kept
-        end to end in one array, for class_mask to pack on first use.
+        generate the group; computed once and cached.  Ids ascend with the
+        reps, and each rep is its class's least index.
         """
         if self._classes is None:
             tabs = [self.conjugation_table(g) for g in self.generators]
             class_id = [-1] * self.order
             sizes: list[int] = []
             reps: list[int] = []
-            self._orbits, self._orbit_starts = array("l"), array("l")
             for a in range(self.order):
                 if class_id[a] >= 0:
                     continue
@@ -319,49 +316,25 @@ class PcGroup:
                         if class_id[y] < 0:
                             class_id[y] = cid
                             orbit.append(y)
-                self._orbit_starts.append(len(self._orbits))
-                self._orbits.extend(orbit)
                 sizes.append(len(orbit))
                 reps.append(a)
             self._classes = (sizes, class_id, reps)
         return self._classes
 
-    def class_mask(self, cid: int) -> int:
-        """Mask of conjugacy class cid, packed from its orbit on first use
-        by a bytearray spanning the orbit's index range."""
-        mask = self._class_masks.get(cid)
-        if mask is None:
-            sizes, _, reps = self.conjugacy_data()
-            start = self._orbit_starts[cid]
-            orbit = self._orbits[start:start + sizes[cid]]
-            a = reps[cid]  # the orbit's least index
-            members = bytearray(max(orbit) - a + 1)
-            for y in orbit:
-                members[y - a] = 1
-            mask = self._class_masks[cid] = _pack(members) << a
-        return mask
-
-    def power_classes(self, a: int) -> frozenset:
-        """Ids of the conjugacy classes that <a> meets.  Conjugate elements
-        meet the same classes, so this is computed once per class."""
+    def power_classes(self, a: int) -> int:
+        """Mask over class ids of the conjugacy classes that <a> meets, so
+        bit 0 (the identity's class) is always set.  Conjugate elements meet
+        the same classes, so this is computed once per class."""
         _, class_id, _ = self.conjugacy_data()
         cid = class_id[a]
-        key = self._power_classes.get(cid)
-        if key is None:
-            ids = {class_id[0]}
-            x = a
+        mask = self._power_classes.get(cid)
+        if mask is None:
+            mask, x = 1, a
             while x:
-                ids.add(class_id[x])
+                mask |= 1 << class_id[x]
                 x = self.mul(x, a)
-            key = self._power_classes[cid] = frozenset(ids)
-        return key
-
-    def conjugate_union(self, a: int) -> int:
-        """Mask of the union of all conjugates of <a>."""
-        key = self.power_classes(a)
-        if key not in self._conj_union_cache:
-            self._conj_union_cache[key] = sum(map(self.class_mask, key))  # disjoint masks
-        return self._conj_union_cache[key]
+            self._power_classes[cid] = mask
+        return mask
 
     def nilpotency_class(self) -> int:
         return len(lower_central_series(self).terms) - 1
@@ -595,8 +568,9 @@ def is_normal(G: PcGroup, s: ElementSet) -> bool:
 
 
 def conjugacy_class(G: PcGroup, a: int) -> ElementSet:
+    """The conjugacy class of a, packed from the class ids in one pass."""
     _, class_id, _ = G.conjugacy_data()
-    return ElementSet(G, G.class_mask(class_id[a]))
+    return ElementSet(G, _pack(bytes(map(class_id[a].__eq__, class_id))))
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ tails and whose nontrivial pivots become the new layer generators, each
 defined by its own relation.
 
 Layer arithmetic runs modulo p^E for E strictly larger than any order that
-can occur; a post-hoc assertion checks the modulus never binds.  Every
-emitted presentation is consistency-checked.
+can occur; a post-hoc check (_require_modulus_unbound) proves the modulus
+never binds.  Every emitted presentation is consistency-checked.
 """
 
 from __future__ import annotations
@@ -154,6 +154,18 @@ def tail_cover(lp: LayeredPresentation, modulus: int) -> tuple[PcPresentation, l
     return star, tailed
 
 
+def _require_modulus_unbound(H: list[list[int]], surviving: list[int], low: int) -> None:
+    """Raise unless low e_t reduces to 0 under the Hermite basis H for every
+    surviving t, low = p^(E-1).  The surviving e_t generate Z^m/L, so then
+    p^(E-1) Z^m lies in L = L_0 + p^E Z^m, L_0 the relations without the
+    modulus rows, and by Nakayama (Z^m/L_0 a finite p-group) in L_0: the
+    modulus did not bind.  A diagonal test alone misses lattices such as
+    x + 3y = 0 mod 27, Hermite form [[3, 8], [0, 9]] but Z^2/L = C_27."""
+    for t in surviving:
+        if any(hnf_reduce(H, [0] * t + [low] + [0] * (len(H) - t - 1))):
+            raise AssertionError("layer modulus p^E binds; enlarge E")
+
+
 def extend_class(lp: LayeredPresentation, tp: TriangleParams) -> LayeredPresentation:
     """Extend T/gamma_{c+1} to T/gamma_{c+2}.
 
@@ -205,8 +217,7 @@ def extend_class(lp: LayeredPresentation, tp: TriangleParams) -> LayeredPresenta
     surviving = [t for t in range(m) if H[t][t] > 1]
     for t in surviving:
         _p_power_exp(H[t][t], tp.p)
-        if H[t][t] * tp.p > modulus:
-            raise AssertionError("layer modulus p^E binds; enlarge E")
+    _require_modulus_unbound(H, surviving, modulus // tp.p)
     if not surviving:
         return replace(lp, stabilized=True)
 

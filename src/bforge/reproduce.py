@@ -357,7 +357,7 @@ def criterion_9(cache: GroupCache) -> CriterionResult:
             if not is_generating_pair(G, a, b):
                 continue
             tested += 1
-            if G.conjugate_union(a) & G.conjugate_union(b) != 1:
+            if G.power_classes(a) & G.power_classes(b) != 1:
                 good = False
                 break
         ok = _check(

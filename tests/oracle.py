@@ -45,6 +45,13 @@ def brute_class(G, a: int) -> set[int]:
     return {G.mul(G.mul(G.inv(g), a), g) for g in range(G.order)}
 
 
+def brute_classes(G, mask: int) -> set[int]:
+    """The elements of the classes whose ids are the set bits of mask (a
+    sigma or power-class mask), each found by brute_class of its rep."""
+    _, _, reps = G.conjugacy_data()
+    return set().union(*(brute_class(G, r) for c, r in enumerate(reps) if mask >> c & 1))
+
+
 def brute_closure(G, seeds) -> set[int]:
     """Every product of seeds, found level by level by word length; in a
     finite group that is the subgroup they generate."""

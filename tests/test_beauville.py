@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracle import brute_is_generating, brute_search_classes, brute_sigma
+from oracle import brute_classes, brute_is_generating, brute_search_classes, brute_sigma
 
 from bforge.beauville import (
     GenPair,
@@ -44,24 +44,26 @@ from bforge.pc import make_presentation, prime_power_base
 
 
 def test_sigma_identity_pair(g51):
-    assert sigma(g51.group, 0, 0).mask == 1
+    G = g51.group
+    assert sigma(G, 0, 0) == 1
+    assert brute_classes(G, sigma(G, 0, 0)) == {0}
 
 
 def test_sigma_g51_size_and_brute(g51):
     G = g51.group
-    s = sigma(G, g51.x, g51.y)
+    s = brute_classes(G, sigma(G, g51.x, g51.y))
     assert len(s) == 61
-    assert set(s.indices()) == brute_sigma(G, g51.x, g51.y)
+    assert s == brute_sigma(G, g51.x, g51.y)
 
 
 def test_sigma_abelian(c5c5):
     G = c5c5.group
-    s = sigma(G, c5c5.x, c5c5.y)
+    s = brute_classes(G, sigma(G, c5c5.x, c5c5.y))
     assert len(s) == 13
     expected = set(subgroup_closure(G, [c5c5.x]).indices())
     expected |= set(subgroup_closure(G, [c5c5.y]).indices())
     expected |= set(subgroup_closure(G, [c5c5.xy()]).indices())
-    assert set(s.indices()) == expected
+    assert s == expected
 
 
 def test_sigma_symmetric(g31):
@@ -69,7 +71,7 @@ def test_sigma_symmetric(g31):
     rng = random.Random(2)
     for _ in range(25):
         x, y = rng.randrange(G.order), rng.randrange(G.order)
-        assert sigma(G, x, y).mask == sigma(G, y, x).mask
+        assert sigma(G, x, y) == sigma(G, y, x)
 
 
 def test_sigma_automorphism_equivariant(g22):
@@ -78,19 +80,60 @@ def test_sigma_automorphism_equivariant(g22):
     rng = random.Random(4)
     for _ in range(15):
         x, y = rng.randrange(G.order), rng.randrange(G.order)
-        moved = 0
-        for a in sigma(G, x, y).indices():
-            moved |= 1 << th(a)
-        assert moved == sigma(G, th(x), th(y)).mask
+        moved = {th(a) for a in brute_classes(G, sigma(G, x, y))}
+        assert moved == brute_classes(G, sigma(G, th(x), th(y)))
 
 
 def test_sigma_closed_under_conjugation_and_powers(g31):
     G = g31.group
-    s = sigma(G, g31.x, g31.y)
-    for a in s.indices():
+    s = brute_classes(G, sigma(G, g31.x, g31.y))
+    for a in s:
         assert G.pow(a, 2) in s
         for g in G.generators:
             assert G.conjugate(a, g) in s
+
+
+def _search_bench_groups():
+    # the five inputs of the benchmark's search workload
+    return [
+        build_abelian(13).group,
+        paper_group_from_nq(triangle_quotient(TriangleParams(2, 2), 4), TriangleParams(2, 2)).group,
+        build_negative(1).group,
+        build_abelian(9).group,
+        build_case_iii(2).group,
+    ]
+
+
+def _tower_groups():
+    return [paper_group_from_nq(triangle_quotient(tp, 3), tp).group for tp in (TriangleParams(3, 1), TriangleParams(2, 2))]
+
+
+@pytest.mark.parametrize("build", [_search_bench_groups, _tower_groups], ids=["bench-search", "towers"])
+def test_sigma_class_masks_match_brute_sigma(build):
+    # class-level disjointness of two sigma sets against disjointness of the
+    # element sets brute_sigma builds, and check_beauville's witness against
+    # the least non-identity element of the brute intersection
+    rng = random.Random(17)
+    outcomes = set()
+    for G in build():
+        pairs = []
+        while len(pairs) < 10:
+            x, y = rng.randrange(G.order), rng.randrange(G.order)
+            if is_generating_pair(G, x, y):
+                pairs.append(GenPair.make(G, x, y))
+        found = exhaustive_search(G, "find", cap=G.order).found
+        if found is not None:
+            pairs += [found.pair1, found.pair2]
+        brute = {(p.x, p.y): brute_sigma(G, p.x, p.y) for p in pairs}
+        for p1, p2 in zip(pairs[::2], pairs[1::2]):
+            shared = brute[p1.x, p1.y] & brute[p2.x, p2.y]
+            disjoint = sigma(G, p1.x, p1.y) & sigma(G, p2.x, p2.y) == 1
+            assert disjoint == (shared == {0})
+            cert = check_beauville(G, p1, p2)
+            assert cert.beauville == disjoint
+            assert cert.intersection_witness == (None if disjoint else min(shared - {0}))
+            outcomes.add(disjoint)
+    assert outcomes == {True, False}
 
 
 # -- generating pairs --------------------------------------------------------------
@@ -161,7 +204,8 @@ def test_beauville_abelian_pair(c5c5):
     b = G.mul(G.pow(x, 3), G.pow(y, 4))
     cert = check_beauville(G, GenPair.make(G, x, y), GenPair.make(G, a, b))
     assert cert.beauville
-    assert sigma(G, x, y).mask & sigma(G, a, b).mask == 1
+    assert sigma(G, x, y) & sigma(G, a, b) == 1
+    assert brute_classes(G, sigma(G, x, y)) & brute_classes(G, sigma(G, a, b)) == {0}
 
 
 def test_beauville_identical_pairs_fail(g51):
@@ -170,9 +214,9 @@ def test_beauville_identical_pairs_fail(g51):
     cert = check_beauville(G, p, p)
     assert not cert.beauville
     w = cert.intersection_witness
-    assert w and w in sigma(G, g51.x, g51.y)
+    assert w and w in brute_classes(G, sigma(G, g51.x, g51.y))
     # x itself is an equally valid witness
-    assert g51.x in sigma(G, g51.x, g51.y)
+    assert g51.x in brute_classes(G, sigma(G, g51.x, g51.y))
 
 
 def test_beauville_not_generating_diagnostic(g51):

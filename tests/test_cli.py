@@ -492,10 +492,12 @@ def test_report_hashes_are_pinned(workdir, capsys):
 
 
 def test_cache_population(workdir, capsys):
+    # the cache holds order/exponent/class stats and nothing else
     run(capsys, "construct", "--family", "case-i", "--p", "5", "--k", "1")
+    run(capsys, "verify", "--group", "case_i_5_1.pcp", "--pair1", "x;y", "--pair2", "x*y;y^-1")
     cache = workdir / ".bforge"
     assert any(cache.glob("stats/*.json"))
-    assert any(cache.glob("groups/*.pcp"))
+    assert sorted(p.name for p in cache.iterdir()) == ["stats"]
 
 
 def test_cache_writes_are_atomic(workdir, capsys, monkeypatch):
@@ -505,10 +507,9 @@ def test_cache_writes_are_atomic(workdir, capsys, monkeypatch):
     run(capsys, "verify", "--group", "case_i_5_1.pcp", "--pair1", "x;y", "--pair2", "x*y;y^-1")
     cache = workdir / ".bforge"
     (stats,) = cache.glob("stats/*.json")
-    (digests,) = cache.glob("sigma/*.json")
     stats.write_text(json.dumps({"order": "stale"}))  # forces a rewrite
     files = sorted(cache.rglob("*"))
-    before = {f: f.read_text() for f in (stats, digests)}
+    before = stats.read_text()
 
     def fail(src, dst):
         raise OSError("replace failed")
@@ -516,8 +517,8 @@ def test_cache_writes_are_atomic(workdir, capsys, monkeypatch):
     monkeypatch.setattr("bforge.cli.os.replace", fail)
     code, rep = run(capsys, "verify", "--group", "case_i_5_1.pcp", "--pair1", "x;y", "--pair2", "x;y")
     assert code == 1 and rep["group"]["order"] == "125"
-    assert {f: f.read_text() for f in (stats, digests)} == before
-    assert all(json.loads(text) for text in before.values())
+    assert stats.read_text() == before
+    assert json.loads(before)
     assert sorted(cache.rglob("*")) == files
 
 

@@ -8,6 +8,7 @@ from bforge.errors import CapExceeded
 from bforge.groups import PcGroup, hom_from_images, lower_central_series
 from bforge.nq import (
     TriangleParams,
+    _require_modulus_unbound,
     extend_class,
     initial_class_quotient,
     tail_cover,
@@ -334,3 +335,15 @@ def test_quotients_that_need_power_relations(p, k, c, layers):
     a, b = coll.collect(lp.a_word), coll.collect(lp.b_word)
     for base, e in ((a, tp.q), (b, tp.q), (coll.mul(a, b), tp.rr)):
         assert coll.power(base, e) == coll.identity
+
+
+def test_modulus_guard_sees_a_binding_modulus_off_the_diagonal():
+    # M = {(x, y) : x + 3y = 0 mod 27} with p = 3, E = 3: no Hermite pivot
+    # reaches 27, yet Z^2/M is C_27, so the modulus binds
+    H = hermite_form([[27, 0], [0, 27], [-3, 1]], 2)
+    assert H == [[3, 8], [0, 9]]
+    assert all(H[t][t] * 3 <= 27 for t in range(2))  # the diagonal test stays silent
+    with pytest.raises(AssertionError, match="binds"):
+        _require_modulus_unbound(H, [0, 1], 9)
+    # with 9y = 0 added, Z^2/M is C_27 and modulo 81 nothing binds
+    _require_modulus_unbound(hermite_form([[81, 0], [0, 81], [-3, 1], [0, 9]], 2), [0, 1], 27)
