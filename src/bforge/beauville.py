@@ -346,13 +346,12 @@ def lift_check(
     proj: Homomorphism,
     pair1: GenPair,
     pair2: GenPair,
-    cross_check_cap: int = 10**4,
 ) -> LiftReport:
     """Certify a Beauville structure of G from its image in G/N.
 
     True when the projected pairs form a Beauville structure of the quotient
-    and o(g) = o(gN) for g in the first triple; when the source is small
-    enough the conclusion is additionally cross-checked by direct
+    and o(g) = o(gN) for g in the first triple; when the source has order
+    at most 10^4 the conclusion is additionally cross-checked by direct
     computation, and any disagreement raises."""
     G, Q = proj.source, proj.target
     q1 = GenPair.make(Q, proj(pair1.x), proj(pair1.y))
@@ -364,7 +363,7 @@ def lift_check(
     # both pairs must generate the source itself, not just the quotient
     verdict = pair1.generating and pair2.generating and qcert.beauville and order_ok
     direct = None
-    if G.order <= cross_check_cap:
+    if G.order <= 10**4:
         direct = check_beauville(G, pair1, pair2).beauville
         if verdict and not direct:
             raise AssertionError("lift lemma certified a non-structure")

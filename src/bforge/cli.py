@@ -39,6 +39,7 @@ from .groups import (
     hom_from_images,
     lower_central_series,
     quotient_group,
+    require_order,
 )
 from .nq import MAX_CLASS_BOUND, TriangleParams, triangle_quotient
 from .pc import PcpFile, parse_pcp, print_pcp
@@ -302,6 +303,7 @@ def cmd_construct(args) -> int:
 
 def cmd_nq(args) -> int:
     t0 = time.perf_counter()
+    require_order(args.p, 2 * args.k, args.max_order)  # T/gamma_(c+1) maps onto C_q x C_q
     tp = TriangleParams(args.p, args.k, args.r)
     lp = triangle_quotient(tp, args.class_bound, order_cap=args.max_order)
     pf = PcpFile(lp.pres)

@@ -21,6 +21,7 @@ from .groups import (
     lower_central_series,
     normal_closure,
     quotient_pc_presentation,
+    require_order,
     subgroup_closure,
 )
 from .pc import PcPresentation, prime_power_base, make_presentation
@@ -79,6 +80,7 @@ def _three_step_presentation(xy_order: int, zt_order: int) -> tuple:
 
 def build_case_i(p: int, k: int, cap: int = DEFAULT_ORDER_CAP) -> PaperGroup:
     """<x,y,z | x^q = y^q = z^q = 1, [y,x] = z> with q = p^k, for p > 3."""
+    require_order(p, 3 * k, cap)
     if prime_power_base(p) != p:
         raise ValueError(f"p = {p} is not prime")
     if p <= 3:
@@ -93,6 +95,7 @@ def build_case_i(p: int, k: int, cap: int = DEFAULT_ORDER_CAP) -> PaperGroup:
 
 def build_case_ii(k: int, cap: int = DEFAULT_ORDER_CAP) -> PaperGroup:
     """The five-generator 3-group of order 3^{5k} and exponent 3^{k+1}."""
+    require_order(3, 5 * k, cap)
     if k < 1:
         raise ValueError("k must be >= 1")
     q = 3**k
@@ -103,6 +106,7 @@ def build_case_ii(k: int, cap: int = DEFAULT_ORDER_CAP) -> PaperGroup:
 
 def build_case_iii(k: int, cap: int = DEFAULT_ORDER_CAP) -> PaperGroup:
     """The five-generator 2-group of order 2^{5k-3} and exponent 2^k, k >= 2."""
+    require_order(2, 5 * k - 3, cap)
     if k < 2:
         raise ValueError("case-iii requires k >= 2 (q = 2^k must exceed 2)")
     names, orders, comms = _three_step_presentation(2**k, 2 ** (k - 1))
@@ -125,6 +129,7 @@ def build_negative(k: int, cap: int = DEFAULT_ORDER_CAP) -> PaperGroup:
 
 def build_abelian(n: int, cap: int = DEFAULT_ORDER_CAP) -> PaperGroup:
     """C_n x C_n with theta = inversion; Beauville iff n > 1, gcd(n, 6) = 1."""
+    require_order(n, 2, cap)
     if n < 2:
         raise ValueError("n must be >= 2")
     factors: list[int] = []
@@ -217,13 +222,12 @@ def refinement_series(pg: PaperGroup, i: int) -> NormalSeries:
     terms = [bottom]
     gens = list(bottom.gens or bottom.indices())
     closure = _Closure(G)  # the current term, grown along the chain
-    for g in gens:
-        closure.add(g)
+    closure.sift(gens)
     current = bottom
     for s in left_normed_commutators(G, pg.x, pg.y, i):
         e = 0
         v = s
-        while not closure.seen[v]:
+        while v not in closure:
             v = G.pow(v, p)
             e += 1
         for j in range(e - 1, -1, -1):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 import resource
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd, prod
 from typing import Iterable, Iterator, Optional, Sequence
@@ -33,6 +34,13 @@ DEFAULT_ORDER_CAP = 10**6
 # Large relative orders take more: 8 bytes per element in each of the
 # sum(m_i - 1) step tables, and 28 per generator (2,990 in all at 5^9, m_i = 125).
 BYTES_PER_ELEMENT = 1024
+
+
+def require_order(base: int, exp: int, cap: int) -> None:
+    """CapExceeded when base^exp > cap, before the power is built: base >= 2,
+    so an exponent above cap's bit length is refused from it alone."""
+    if base >= 2 and (exp > cap.bit_length() or base**exp > cap):
+        raise CapExceeded(f"group order {base}^{exp} exceeds cap {cap}")
 
 
 def mem_available(meminfo: str) -> Optional[int]:
@@ -114,8 +122,8 @@ class PcGroup:
     _build_gen_step); nothing is collected symbolically.  A group of order
     above cap, or whose estimated memory (BYTES_PER_ELEMENT per element, or
     more for large relative orders) exceeds memory_limit(), is refused with
-    CapExceeded before anything is built; this is the one place where a
-    group's size is checked.
+    CapExceeded before anything is built (families and nq check base^exp
+    before that, by require_order).
     """
 
     identity = 0
@@ -123,7 +131,9 @@ class PcGroup:
     def __init__(self, pres: PcPresentation, cap: int = DEFAULT_ORDER_CAP):
         order = pres.order()
         if order > cap:
-            raise CapExceeded(f"group order {order} exceeds cap {cap}")
+            # str() refuses an int of more than 4300 digits
+            shown = order if order.bit_length() < 14000 else f"above 2^{order.bit_length() - 1}"
+            raise CapExceeded(f"group order {shown} exceeds cap {cap}")
         limit = memory_limit()
         need = order * max(BYTES_PER_ELEMENT, 8 * sum(m - 1 for m in pres.orders) + 28 * pres.ngens + 512)
         if need > limit:
@@ -166,7 +176,7 @@ class PcGroup:
         Conjugation by g_i is the automorphism of G_{i+1} sending g_j to
         g_j [g_j, g_i], so s -> s^(g_i) and s -> t s^(g_i) are _extend
         calls on G_{i+1}'s tables, which are complete by then.  The G_i
-        table is broadcast over the prefixes."""
+        table is broadcast over the digits of g_0..g_{i-1}."""
         pres, strides = self.presentation, self.strides
         self._walks: list[Optional[tuple[list[int], ...]]] = [None] * self.order
         self._walks[0] = ()
@@ -402,31 +412,33 @@ def _eval_word(H: PcGroup, images: list[int], word: Word) -> int:
     return x
 
 
-def sift_pairs(G: PcGroup, H: PcGroup, gens: list[int], images: list[int]) -> list[int]:
-    """The images in H of G's pc generators under gens[k] -> images[k], by
-    sifting the pairs (g, image) into an induced pc sequence of <gens> that
-    carries the images (Holt, Eick and O'Brien, Handbook of Computational
-    Group Theory, 2005, section 8.3).
+class _Trivial:
+    """The trivial group: the image side of a sift that carries no images."""
+
+    mul = pow = comm = staticmethod(lambda a, b: 0)
+
+
+def _sift_into(G: PcGroup, H, table: list[tuple[int, int, int]], queue: list[tuple[int, int]]) -> bool:
+    """Sift the queued pairs (x, image of x in H) into table, the induced pc
+    sequence they generate, carrying the images (Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 2005, section 8.3); True when
+    every pair sifted to (1, 1), so that the images are well defined.
 
     table[d] = (u, h, e): u has depth d and leading exponent e | m_d (the
     identity, e = m_d, while d is empty).  A pair of leading exponent f at
     depth d sifts on by (u, h)^(-f/e) when e | f; else x^b u^-t, of leading
     exponent gcd(e, f), replaces (u, h), which is queued again.  Each new
     entry queues its m_d/e-th power and its commutators with the others.
-    Raises unless every e ends at 1 (gens generate G) and every pair sifts
-    to (1, 1) (well defined); then reduces bottom-up to (g_i, image of g_i).
-    G needs mul, pow, comm, vec, presentation.orders; H mul, inv, pow, comm.
+    Depth and leading exponent are digit reads; G and H need mul, pow, comm.
     """
-    orders = G.presentation.orders
-    table = [(0, 0, m) for m in orders]
-    queue = list(zip(gens, images))
+    orders, strides = G.presentation.orders, G.strides
+    ascending, n = strides[::-1], len(strides)
     well_defined = True
     while queue:
         x, k = queue.pop()
         while x:
-            vec = G.vec(x)
-            d = next(i for i, f in enumerate(vec) if f)
-            f = vec[d]
+            d = n - bisect_right(ascending, x)
+            f = x // strides[d]
             u, h, e = table[d]
             if f % e:
                 g = gcd(e, f)
@@ -439,6 +451,18 @@ def sift_pairs(G: PcGroup, H: PcGroup, gens: list[int], images: list[int]) -> li
                 queue += [(G.comm(u, v), H.comm(h, w)) for v, w, _ in table if v and v != u]
             x, k = G.mul(x, G.pow(u, -(f // e))), H.mul(k, H.pow(h, -(f // e)))
         well_defined = well_defined and not k
+    return well_defined
+
+
+def sift_pairs(G: PcGroup, H: PcGroup, gens: list[int], images: list[int]) -> list[int]:
+    """The images in H of G's pc generators under gens[k] -> images[k], from
+    the induced pc sequence of <gens> that _sift_into builds with the images.
+    Raises unless every e ends at 1 (gens generate G) and every pair sifted
+    to (1, 1) (well defined); then reduces bottom-up to (g_i, image of g_i).
+    """
+    orders = G.presentation.orders
+    table = [(0, 0, m) for m in orders]
+    well_defined = _sift_into(G, H, table, list(zip(gens, images)))
     if any(e != 1 for _, _, e in table):
         raise HomomorphismError("given elements do not generate the source group")
     if not well_defined:
@@ -485,66 +509,63 @@ def hom_from_images(G: PcGroup, H: PcGroup, gens: list[int], images: list[int]) 
 
 
 class _Closure:
-    """Incremental subgroup closure, a whole right coset at a time (Dimino).
+    """Incremental subgroup closure: the induced pc sequence of the subgroup
+    (a _sift_into table without images) and the seeds it kept.
 
-    Holds H = <gens> as a bytearray of members (seen), the member list, and
-    the generators it kept.  add(s) with s outside H grows H to <H, s> by
-    right cosets of the old H: first H s, then for each new coset rep r and
-    each kept generator g (s included) an unseen r g starts the coset H (r g).
-    The union is then closed under right multiplication by every kept
-    generator, so it is the subgroup.  A coset H r is the member list walked
-    through G.walk(r) as whole columns.  Cost: one lookup per new element
-    and digit of its rep plus one mul per (coset, generator) pair, however
-    many generators came before.
+    add(s) sifts s in and keeps it when the table changed, that is when s
+    was not a member.  x in cl and the exponents of G/N read one reduction
+    (residues).  mask() lists the normal words u_0^a_0 u_1^a_1 ... of the
+    sequence, a_d below m_d/e_d, by column walks (_extend): the one step
+    that needs the enumerated group; the rest is mul, pow, comm and digits.
     """
 
     def __init__(self, G: PcGroup):
-        self.group = G
-        self.seen = bytearray(G.order)
-        self.seen[0] = 1
-        self.members = [0]
-        self.gens: list[int] = []
+        self.group, self.gens = G, []
+        self.table = [(0, 0, m) for m in G.presentation.orders]
+
+    def sift(self, xs: Iterable[int]) -> None:
+        _sift_into(self.group, _Trivial, self.table, [(x, 0) for x in xs])
+
+    def residues(self, x: int) -> Iterator[tuple[int, int]]:
+        """(i, r) for each depth i where the reduction of x meets a nonzero
+        digit v: r = v mod e_i, and x goes on as g_i^-r x u_i^-(v div e_i) in
+        G_{i+1} (x lies in G_i, so g_i^-r x is x with that digit lowered by
+        r).  x is a member exactly when every r is 0; for a normal subgroup
+        N, the r are the exponents of xN in G/N."""
+        G, strides = self.group, self.group.strides
+        ascending, n = strides[::-1], len(strides)
+        while x:
+            i = n - bisect_right(ascending, x)
+            u, _, e = self.table[i]
+            q, r = divmod(x // strides[i], e)
+            yield i, r
+            x = G.mul(x - r * strides[i], G.pow(u, -q))
+
+    def __contains__(self, x: int) -> bool:
+        return not any(r for _, r in self.residues(x))
 
     def add(self, s: int) -> bool:
-        """Adjoin s; False (and nothing changes) when s is already a member."""
-        seen = self.seen
-        if seen[s]:
+        """Adjoin s; False (and nothing changes) when s is already a member,
+        which is when sifting it changes no entry of the table."""
+        before = self.table[:]
+        self.sift([s])
+        if self.table == before:
             return False
-        mul, walk = self.group.mul, self.group.walk
-        members = self.members
-        old = members[:]
-        gens = self.gens
-        gens.append(s)
-
-        def start_coset(r: int) -> None:
-            coset = old
-            for step in walk(r):
-                coset = [step[h] for h in coset]
-            for y in coset:
-                seen[y] = 1
-            members.extend(coset)
-
-        start_coset(s)
-        reps = [s]
-        for r in reps:  # grows while it runs
-            for g in gens:
-                y = mul(r, g)
-                if not seen[y]:
-                    start_coset(y)
-                    reps.append(y)
+        self.gens.append(s)
         return True
 
     def mask(self) -> int:
         """The members as a bitmask."""
-        return _pack(self.seen)
+        G, members = self.group, bytearray(self.group.order)
+        seq = [(u, m // e) for (u, _, e), m in zip(self.table, G.presentation.orders) if u]
+        for x in _extend(G, [m for _, m in seq], [u for u, _ in seq]):
+            members[x] = 1
+        return _pack(members)
 
 
 def subgroup_closure(G: PcGroup, seeds: Iterable[int]) -> ElementSet:
-    """Smallest subgroup containing the seeds.
-
-    Adjoins the seeds one by one to a single _Closure, skipping those
-    already generated; gens are the seeds it kept, in order.
-    """
+    """Smallest subgroup containing the seeds, adjoined one by one to one
+    _Closure; gens are the seeds it kept (not yet members), in order."""
     cl = _Closure(G)
     for s in seeds:
         cl.add(s)
@@ -597,8 +618,7 @@ def lower_central_series(G: PcGroup) -> NormalSeries:
     terms = [G.as_set()]
     while len(terms[-1]) > 1:
         H = terms[-1]
-        hgens = H.gens if H.gens is not None else list(H.indices())
-        comms = [G.comm(h, g) for h in hgens for g in G.generators]
+        comms = [G.comm(h, g) for h in H.gens for g in G.generators]
         N = normal_closure(G, comms)
         if N.mask == H.mask:
             raise ValueError(f"{G.name}: lower central series does not reach 1")
@@ -619,9 +639,8 @@ def frattini(G: PcGroup) -> ElementSet:
     seeds = list(gamma2.gens or gamma2.indices())
     seeds += [G.pow(g, prod(p for p, _ in G._p_parts)) for g in G.generators]
     sub = subgroup_closure(G, seeds)
-    result = ElementSet(G, sub.mask, True, True, sub.gens)
-    G._frattini = result
-    return result
+    G._frattini = ElementSet(G, sub.mask, True, True, sub.gens)
+    return G._frattini
 
 
 def agemo(G: PcGroup, i: int) -> ElementSet:
@@ -631,10 +650,8 @@ def agemo(G: PcGroup, i: int) -> ElementSet:
     if i <= 0:
         return G.as_set()
     e = G.prime**i
-    cl = _Closure(G)
-    for g in range(G.order):
-        cl.add(G.pow(g, e))
-    return ElementSet(G, cl.mask(), True, True, tuple(cl.gens))
+    sub = subgroup_closure(G, dict.fromkeys(G.pow(g, e) for g in range(G.order)))  # each power once, in order
+    return ElementSet(G, sub.mask, True, True, sub.gens)
 
 
 # -- quotients on their induced pc presentations -------------------------------
@@ -649,8 +666,7 @@ def quotient_group(G: PcGroup, N: ElementSet) -> tuple[PcGroup, Homomorphism]:
     gens = list(N.gens) if N.gens is not None else list(N.indices())
     if not N.mask & 1:
         raise ValueError("N does not contain the identity")
-    check = subgroup_closure(G, gens)
-    if check.mask != N.mask:
+    if subgroup_closure(G, gens).mask != N.mask:
         raise ValueError("N is not a subgroup")
     if not is_normal(G, N):
         raise ValueError("N is not normal")
@@ -664,40 +680,22 @@ def quotient_pc_presentation(G: PcGroup, N: ElementSet, name: str) -> tuple[PcGr
     on the images of its pc generators, and the projection.  N must be a
     normal subgroup (quotient_group checks that).
 
-    The block rule: G_{i+1} = <g_{i+1}, ..., g_{n-1}> is the first stride_i
-    indices, and the left coset u G_{i+1} of u = g_0^e_0 ... g_i^e_i is the
-    index block [b stride_i, (b+1) stride_i) of its prefix b, because u w
-    is a normal word for w in G_{i+1}.  So N G_{i+1} is the union of the
-    blocks whose prefix lies in P_i = {h // stride_i : h in N}, and
-    P_i = {b // m_{i+1} : b in P_{i+1}} gives them all from N in O(|N|).
-
-    The image of g_i has relative order m, the least e >= 1 in P_i (g_i^e
-    is the block e), or m_i when there is none; it is a generator of G/N
-    when m > 1.  An x in N G_i is factored level by level: its exponent f
-    on the image of g_i is the least f with g_i^-f x in N G_{i+1}, and
-    g_i^-f x goes on to the next level.  The tails are the factored g_i^m
-    and [g_j, g_i], and the projection extends the images of G's pc
-    generators one digit at a time (_extend).  No coset is enumerated.
+    N's generators are sifted into an induced pc sequence, of leading
+    exponent e_i at depth i (m_i when N has no element there).  The image
+    of g_i has relative order e_i, and it is a generator of G/N when
+    e_i > 1; the exponent of xN on it is x's residue at depth i
+    (_Closure.residues).  The tails are the factored g_i^(e_i) and
+    [g_j, g_i], and the projection extends the images of G's pc generators
+    one digit at a time (_extend).  No coset is enumerated.
     """
     pres, strides = G.presentation, G.strides
-    prefixes = [set(N.indices())]  # P_{n-1} first
-    for m in pres.orders[:0:-1]:
-        prefixes.append({b // m for b in prefixes[-1]})
-    prefixes.reverse()
-    kept = []  # (i, relative order of g_i's image) for the surviving g_i
-    for i, (m_i, p_i) in enumerate(zip(pres.orders, prefixes)):
-        m = next((e for e in range(1, m_i) if e in p_i), m_i)
-        if m > 1:
-            kept.append((i, m))
+    seq = _Closure(G)
+    seq.sift(N.gens if N.gens is not None else N.indices())
+    kept = [(i, e) for i, (_, _, e) in enumerate(seq.table) if e > 1]  # (i, relative order of g_i's image)
 
     def factor(x: int) -> tuple[int, ...]:
-        exps = []
-        for i, _ in kept:
-            ginv, f = G.inv(strides[i]), 0
-            while x // strides[i] not in prefixes[i]:
-                x, f = G.mul(ginv, x), f + 1
-            exps.append(f)
-        return tuple(exps)
+        exps = dict(seq.residues(x))
+        return tuple(exps.get(i, 0) for i, _ in kept)
 
     def word(x: int) -> Word:
         return tuple((k, f) for k, f in enumerate(factor(x)) if f)

@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
-from .errors import CapExceeded, ShapeError
-from .groups import DEFAULT_ORDER_CAP
+from .errors import ShapeError
+from .groups import DEFAULT_ORDER_CAP, require_order
 from .pc import Collector, PcPresentation, Word, make_presentation, overlap_checks, require_consistent
 from .zlinalg import hermite_form, hnf_reduce
 
@@ -274,7 +274,6 @@ def triangle_quotient(
         nxt = extend_class(lp, tp)
         if nxt.stabilized:
             return nxt
-        if nxt.order() > order_cap:
-            raise CapExceeded(f"order {nxt.order()} exceeds cap {order_cap}")
+        require_order(tp.p, sum(_p_power_exp(m, tp.p) for m in nxt.pres.orders), order_cap)
         lp = nxt
     return lp

@@ -56,11 +56,6 @@ class PcPresentation:
             n *= m
         return n
 
-    def prime(self) -> Optional[int]:
-        """The common prime when all relative orders share one, else None."""
-        primes = {prime_power_base(m) for m in self.orders}
-        return primes.pop() if len(primes) == 1 else None
-
     def index(self, gname: str) -> int:
         return self.names.index(gname)
 

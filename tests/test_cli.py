@@ -57,6 +57,32 @@ def test_construct_cap_exit_3(workdir, capsys):
     assert main(["construct", "--family", "case-i", "--p", "5", "--k", "3", "--max-order", "1000000"]) == 3
 
 
+# each order is far above the default cap of 10^6: it must be refused from
+# its base and exponent before any big power, factorization or presentation
+_OVERSIZED = [
+    (["construct", "--family", "case-ii", "--k", "5000"], "3^25000"),
+    (["construct", "--family", "case-ii", "--k", "200000"], "3^1000000"),
+    (["construct", "--family", "case-iii", "--k", "200000"], "2^999997"),
+    (["construct", "--family", "case-i", "--p", "5", "--k", "200000"], "5^600000"),
+    (["construct", "--family", "case-i", "--p", "1000000000039", "--k", "1"], "1000000000039^3"),
+    (["construct", "--family", "abelian", "--n", "1000000000039"], "1000000000039^2"),
+    (["construct", "--family", "abelian", "--n", "1000000000000000003"], "1000000000000000003^2"),
+    (["nq", "--p", "3", "--k", "5000"], "3^10000"),
+    (["nq", "--p", "1000000000039", "--k", "1"], "1000000000039^2"),
+]
+
+
+@pytest.mark.parametrize("argv,order", _OVERSIZED, ids=[" ".join(a[1:]) for a, _ in _OVERSIZED])
+def test_oversized_parameters_exit_3_quickly(workdir, argv, order):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bforge.cli", *argv], env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == f"error: group order {order} exceeds cap 1000000\n"
+    assert list(workdir.iterdir()) == []
+
+
 def test_nq_over_memory_exits_3_without_artifact(workdir):
     # the order-13^14 class-5 quotient is under --max-order but far over any
     # machine's memory; the child runs under a 4 GB address-space limit so

@@ -52,7 +52,7 @@ _FAMILY_ARGS = [("case-i", {"p": 5, "k": 1}), ("case-ii", {"k": 1}), ("case-iii"
 
 @pytest.mark.parametrize("family,kwargs", _FAMILY_ARGS)
 def test_every_family_hands_its_cap_to_pcgroup(monkeypatch, family, kwargs):
-    # PcGroup is the one place that compares an order with the cap
+    # every builder hands its cap to PcGroup, and refuses an order over it
     caps = []
 
     def spy(pres, cap=DEFAULT_ORDER_CAP):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -21,11 +22,20 @@ from oracle import (
 )
 
 from bforge.errors import CapExceeded, HomomorphismError
-from bforge.families import build_abelian, build_case_i, build_case_ii, build_negative
+from bforge.families import (
+    build_abelian,
+    build_case_i,
+    build_case_ii,
+    build_case_iii,
+    build_negative,
+    paper_group_from_nq,
+    refinement_series,
+)
 from bforge.groups import (
     BYTES_PER_ELEMENT,
     Homomorphism,
     PcGroup,
+    _Closure,
     _extend,
     agemo,
     bit_indices,
@@ -37,10 +47,11 @@ from bforge.groups import (
     mem_available,
     normal_closure,
     quotient_group,
+    quotient_pc_presentation,
     subgroup_closure,
 )
 from bforge.nq import TriangleParams, triangle_quotient
-from bforge.pc import Collector, consistency_check, make_presentation
+from bforge.pc import Collector, consistency_check, make_presentation, print_presentation
 
 
 def test_bit_indices():
@@ -51,6 +62,13 @@ def test_bit_indices():
 
 
 # -- arithmetic invariants ----------------------------------------------------
+
+
+def test_order_cap_message_formats_no_huge_integer():
+    # str() of an int stops at 4300 digits; 2^16000 has 4817
+    pres = make_presentation("big", ["a", "b"], [2**8000, 2**8000])
+    with pytest.raises(CapExceeded, match=r"^group order above 2\^16000 exceeds cap 1000000$"):
+        PcGroup(pres)
 
 
 def test_memory_guard(monkeypatch):
@@ -358,6 +376,20 @@ def test_closures_match_brute_and_fold(closure_groups, name, data):
     assert (ncl.mask, ncl.gens) == fold_normal_closure(G, seeds)
 
 
+@pytest.mark.parametrize("name", CLOSURE_GROUPS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_closure_membership_matches_mask(closure_groups, name, data):
+    # membership reduces modulo the induced sequence; mask() enumerates its
+    # normal words: they must agree on every element after every add
+    G = closure_groups[name]
+    cl = _Closure(G)
+    for s in data.draw(st.lists(st.integers(0, G.order - 1), max_size=4)):
+        cl.add(s)
+        mask = cl.mask()
+        assert [x in cl for x in range(G.order)] == [bool(mask >> x & 1) for x in range(G.order)]
+
+
 @pytest.mark.parametrize("name", [n for n in CLOSURE_GROUPS if n != "c6c6"])
 def test_agemo_matches_brute_and_fold(closure_groups, name):
     G = closure_groups[name]
@@ -619,6 +651,69 @@ def test_quotient_matches_coset_oracle(name):
         lowered |= any(m < pres.orders[pres.index(nm)] for nm, m in zip(Q.presentation.names, Q.presentation.orders))
     assert lowered == (name == "case-i-5-2")
     assert bool(moved) == (name in ("case-i-5-2", "c6c6"))
+
+
+def _tower_quotients(tp):
+    # G/N for every distinct term N of the refinement series, weight 2 up
+    pg = paper_group_from_nq(triangle_quotient(tp, 4), tp)
+    G, masks, out = pg.group, set(), []
+    for i in range(2, len(lower_central_series(G).terms)):
+        for term in refinement_series(pg, i).terms:
+            if term.mask not in masks:
+                masks.add(term.mask)
+                out.append(quotient_group(G, term))
+    return out
+
+
+def _frattini_quotients():
+    # the five inputs of the benchmark's search workload
+    tp = TriangleParams(2, 2)
+    groups = [build_abelian(13).group, paper_group_from_nq(triangle_quotient(tp, 4), tp).group,
+              build_negative(1).group, build_abelian(9).group, build_case_iii(2).group]
+    return [quotient_group(G, frattini(G)) for G in groups]
+
+
+def _negative_quotient():
+    # build_negative(1)'s quotient of the case-ii group by <(xy)^3>^G
+    base = build_case_ii(1)
+    G = base.group
+    return [quotient_pc_presentation(G, normal_closure(G, [G.pow(base.xy(), 3)]), "negative_3_1")]
+
+
+# sha256 of the printed presentations and of the projections' full maps,
+# concatenated in order; any change to how quotients are presented moves them
+_QUOTIENT_SHA256 = {
+    "tower-3-1-c4": (
+        lambda: _tower_quotients(TriangleParams(3, 1)),
+        "20cd06378e247267b31d0a72a0bef3b520b0509dd72201794e444156d69bda1b",
+        "697b91a545bf62b9d34bba5d40d0857d6e92b7dbb9f638fc5b495b98fc9b56a7",
+    ),
+    "tower-2-2-c4": (
+        lambda: _tower_quotients(TriangleParams(2, 2)),
+        "ea3fde38bf16a3a001ec859f0d3a9dd61aa7f6e646cee8b0382877e6f6ece844",
+        "b05569974478758c597662d0bc9b11dcf92f842fdb40df34ed7c0078f00651e6",
+    ),
+    "frattini-bench-search": (
+        _frattini_quotients,
+        "8cca6184b6e318dc4cb2f704fdc718b715fd2252153c73232c85816427c40c3a",
+        "f4cc733cbf0f3088532be94b3b0517358176b217a7dfb249dc285da7bf9fccf4",
+    ),
+    "negative-3-1": (
+        _negative_quotient,
+        "8215122727888ae87359d0ce1e975c781f93f7658a3ce5eb251dbbaecb13ee41",
+        "cc2bd8a0138ef2d59458e7d381b5bbec4808f93a452f2bc9bb3c07735e5c0051",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_QUOTIENT_SHA256))
+def test_quotient_presentations_pinned(name):
+    build, pres_sha, map_sha = _QUOTIENT_SHA256[name]
+    pres, maps = hashlib.sha256(), hashlib.sha256()
+    for Q, proj in build():
+        pres.update(print_presentation(Q.presentation).encode())
+        maps.update(",".join(map(str, proj.full_map)).encode() + b";")
+    assert (pres.hexdigest(), maps.hexdigest()) == (pres_sha, map_sha)
 
 
 # -- homomorphisms ----------------------------------------------------------------
