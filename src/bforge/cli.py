@@ -11,10 +11,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import re
 import sys
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -177,61 +175,10 @@ def serialize_paper_group(pg: PaperGroup) -> str:
     return print_pcp(pf)
 
 
-# -- result cache -------------------------------------------------------------
-
-
-def cache_dir() -> Optional[Path]:
-    root = os.environ.get("BFORGE_CACHE", ".bforge")
-    if root == "":
-        return None
-    return Path(root)
-
-
-def _pres_hash(pg: PaperGroup) -> str:
-    from .pc import print_presentation
-
-    return hashlib.sha256(print_presentation(pg.presentation).encode()).hexdigest()
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    """Write through a temp file in the same directory and os.replace, so
-    readers see the old file or the new one, never a partial write."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
 def group_stats(pg: PaperGroup) -> dict:
-    """Order/exponent/class of a group, via the result cache when present."""
-    root = cache_dir()
-    key = _pres_hash(pg)
-    if root is not None:
-        stats_path = root / "stats" / f"{key}.json"
-        if stats_path.exists():
-            try:
-                cached = json.loads(stats_path.read_text())
-                if cached.get("order") == str(pg.group.order):
-                    return cached
-            except (OSError, json.JSONDecodeError):
-                pass
-    stats = {
-        "name": pg.group.name,
-        "order": str(pg.group.order),
-        "exponent": str(pg.group.exponent()),
-        "class": pg.group.nilpotency_class(),
-    }
-    if root is not None:
-        try:
-            (root / "stats").mkdir(parents=True, exist_ok=True)
-            _write_atomic(root / "stats" / f"{key}.json", json.dumps(stats, sort_keys=True))
-        except OSError:
-            pass
-    return stats
+    """Name, order, exponent and class of a group, computed from the group."""
+    G = pg.group
+    return {"name": G.name, "order": str(G.order), "exponent": str(G.exponent()), "class": G.nilpotency_class()}
 
 
 # -- reports ------------------------------------------------------------------

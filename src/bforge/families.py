@@ -20,7 +20,7 @@ from .groups import (
     is_normal,
     lower_central_series,
     normal_closure,
-    quotient_pc_presentation,
+    quotient_group,
     require_order,
     subgroup_closure,
 )
@@ -122,7 +122,7 @@ def build_negative(k: int, cap: int = DEFAULT_ORDER_CAP) -> PaperGroup:
     G = base.group
     s = G.pow(base.xy(), 3**k)
     N = normal_closure(G, [s])
-    group, proj = quotient_pc_presentation(G, N, f"negative_3_{k}")
+    group, proj = quotient_group(G, N, f"negative_3_{k}")
     named = pc_names(group) | {"t_image": proj(base.named["t"]), "w_image": proj(base.named["w"])}
     return _finish("negative", 3, k, None, group, proj(base.x), proj(base.y), named)
 

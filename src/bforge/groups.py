@@ -657,40 +657,41 @@ def agemo(G: PcGroup, i: int) -> ElementSet:
 # -- quotients on their induced pc presentations -------------------------------
 
 
-def quotient_group(G: PcGroup, N: ElementSet) -> tuple[PcGroup, Homomorphism]:
-    """G/N and the projection; rejects an N that is not a normal subgroup.
+def quotient_group(G: PcGroup, N: ElementSet, name: Optional[str] = None) -> tuple[PcGroup, Homomorphism]:
+    """G/N, called name (default "<G>/N<|N|>"), and the projection; rejects
+    an N that is not a normal subgroup.
 
-    The trivial N gives G itself with the identity map, a range that holds
-    no per-element table.  Any other N gives
-    quotient_pc_presentation(G, N, "<G>/N<|N|>")."""
-    gens = list(N.gens) if N.gens is not None else list(N.indices())
+    N's generators are sifted once, into the induced pc sequence that checks
+    N and that quotient_pc_presentation presents G/N from.  The trivial N
+    gives G itself with the identity map, a range that holds no per-element
+    table."""
     if not N.mask & 1:
         raise ValueError("N does not contain the identity")
-    if subgroup_closure(G, gens).mask != N.mask:
+    seq = _Closure(G)
+    seq.sift(N.gens if N.gens is not None else N.indices())
+    if seq.mask() != N.mask:
         raise ValueError("N is not a subgroup")
     if not is_normal(G, N):
         raise ValueError("N is not normal")
     if N.mask == 1:
         return G, Homomorphism(G, G, range(G.order), True)
-    return quotient_pc_presentation(G, N, f"{G.name}/N{len(N)}")
+    return quotient_pc_presentation(G, seq, name or f"{G.name}/N{len(N)}")
 
 
-def quotient_pc_presentation(G: PcGroup, N: ElementSet, name: str) -> tuple[PcGroup, Homomorphism]:
+def quotient_pc_presentation(G: PcGroup, seq: _Closure, name: str) -> tuple[PcGroup, Homomorphism]:
     """G/N as a PcGroup called name, on the pc presentation that G's induces
-    on the images of its pc generators, and the projection.  N must be a
-    normal subgroup (quotient_group checks that).
+    on the images of its pc generators, and the projection.  seq is the
+    induced pc sequence of a normal subgroup N (quotient_group sifts and
+    checks it).
 
-    N's generators are sifted into an induced pc sequence, of leading
-    exponent e_i at depth i (m_i when N has no element there).  The image
-    of g_i has relative order e_i, and it is a generator of G/N when
-    e_i > 1; the exponent of xN on it is x's residue at depth i
+    seq has leading exponent e_i at depth i (m_i when N has no element
+    there).  The image of g_i has relative order e_i, and it is a generator
+    of G/N when e_i > 1; the exponent of xN on it is x's residue at depth i
     (_Closure.residues).  The tails are the factored g_i^(e_i) and
     [g_j, g_i], and the projection extends the images of G's pc generators
     one digit at a time (_extend).  No coset is enumerated.
     """
     pres, strides = G.presentation, G.strides
-    seq = _Closure(G)
-    seq.sift(N.gens if N.gens is not None else N.indices())
     kept = [(i, e) for i, (_, _, e) in enumerate(seq.table) if e > 1]  # (i, relative order of g_i's image)
 
     def factor(x: int) -> tuple[int, ...]:

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from math import isqrt, log2
 from typing import Iterable, Iterator, Optional
 
-from .errors import ConsistencyError, PcpSyntaxError, ShapeError
+from .errors import CapExceeded, ConsistencyError, PcpSyntaxError, ShapeError
 
 # A word is a sequence of (generator index, exponent) tokens, exponents nonzero.
 Token = tuple[int, int]
@@ -24,18 +25,58 @@ Word = tuple[Token, ...]
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
+_TRIAL_BOUND = 1 << 20
+# the first 13 primes decide every n below _MR_BOUND; the first 12 are
+# fooled by 318665857834031151167461 = 399165290221 * 798330580441
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def _iroot(m: int, e: int) -> int:
+    """The largest r with r^e <= m, by Newton's iteration from above; the
+    float logarithm starts it within 2^-30 of the root."""
+    x = log2(m) / e
+    shift = max(int(x) - 60, 0)
+    r = (int(2 ** (x - shift) * (1 + 2**-30)) + 1) << shift
+    while True:
+        s = ((e - 1) * r + m // r ** (e - 1)) // e
+        if s >= r:
+            return r
+        r = s
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on _MR_BASES: exact for odd 41 < n < _MR_BOUND."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    d = (n - 1) >> s
+    return all(pow(a, d, n) == 1 or n - 1 in (pow(a, d << j, n) for j in range(s)) for a in _MR_BASES)
+
+
 def prime_power_base(m: int) -> Optional[int]:
-    """The prime p with m = p^e (e >= 1), or None when m is not a prime power."""
+    """The prime p with m = p^e (e >= 1), or None when m is not a prime power.
+
+    Trial division finds any prime factor below 2^20, so an m below 2^40
+    without one is prime.  A larger m is a prime power exactly when its
+    first exact integer e-th root, largest e first, is prime, which
+    _is_prime decides.  A root at or above _MR_BOUND raises CapExceeded: no
+    group with such a relative order fits in memory."""
     if m < 2:
         return None
-    for p in range(2, m + 1):
-        if p * p > m:
-            return m  # m itself is prime
+    for p in range(2, min(isqrt(m), _TRIAL_BOUND) + 1):
         if m % p == 0:
             while m % p == 0:
                 m //= p
             return p if m == 1 else None
-    return None
+    if m < _TRIAL_BOUND**2:
+        return m
+    for e in range(m.bit_length() // 20, 0, -1):  # every prime factor is above 2^20
+        r = _iroot(m, e)
+        if r**e == m:
+            break
+    if r >= _MR_BOUND:
+        raise CapExceeded(f"relative order of {m.bit_length()} bits: not a power of an integer "
+                          f"below {_MR_BOUND}, too large for any group")
+    return r if _is_prime(r) else None
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,18 @@ def brute_sigma(G, x: int, y: int) -> set[int]:
     return out
 
 
+def brute_prime_power_base(m: int):
+    """The prime p with m = p^e, or None: trial division up to sqrt(m)."""
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            while m % p == 0:
+                m //= p
+            return p if m == 1 else None
+        p += 1
+    return m if m >= 2 else None
+
+
 def brute_order(G, a: int) -> int:
     n, x = 1, a
     while x != 0:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import resource
@@ -8,8 +9,9 @@ from pathlib import Path
 import pytest
 
 from bforge.cli import evaluate_word, main
+from bforge.families import build_family
 from bforge.groups import PcGroup
-from bforge.pc import parse_pcp, print_pcp
+from bforge.pc import parse_pcp, print_pcp, print_presentation
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -17,7 +19,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 @pytest.fixture()
 def workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("BFORGE_CACHE", str(tmp_path / ".bforge"))
     return tmp_path
 
 
@@ -81,6 +82,25 @@ def test_oversized_parameters_exit_3_quickly(workdir, argv, order):
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr == f"error: group order {order} exceeds cap 1000000\n"
     assert list(workdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "--group", "huge.pcp"],
+    ["verify", "--group", "huge.pcp", "--paper-structure"],
+    ["search", "--group", "huge.pcp", "--mode", "find"],
+])
+def test_huge_prime_relative_order_exits_3_quickly(workdir, argv):
+    # deciding that 10^18 + 3 is prime takes no sqrt(m) trial division
+    (workdir / "huge.pcp").write_text(
+        "pcgroup huge\ngen a order 1000000000000000003\ngen b order 1000000000000000003\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bforge.cli", *argv], env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: group order 1000000000000000006000000000000000009 exceeds cap")
+    assert [f.name for f in workdir.iterdir()] == ["huge.pcp"]
 
 
 def test_nq_over_memory_exits_3_without_artifact(workdir):
@@ -517,35 +537,22 @@ def test_report_hashes_are_pinned(workdir, capsys):
     assert got == _GOLDEN
 
 
-def test_cache_population(workdir, capsys):
-    # the cache holds order/exponent/class stats and nothing else
-    run(capsys, "construct", "--family", "case-i", "--p", "5", "--k", "1")
-    run(capsys, "verify", "--group", "case_i_5_1.pcp", "--pair1", "x;y", "--pair2", "x*y;y^-1")
-    cache = workdir / ".bforge"
-    assert any(cache.glob("stats/*.json"))
-    assert sorted(p.name for p in cache.iterdir()) == ["stats"]
-
-
-def test_cache_writes_are_atomic(workdir, capsys, monkeypatch):
-    # a cache write that fails at os.replace leaves the earlier file intact
-    # and no temp file behind
-    run(capsys, "construct", "--family", "case-i", "--p", "5", "--k", "1")
-    run(capsys, "verify", "--group", "case_i_5_1.pcp", "--pair1", "x;y", "--pair2", "x*y;y^-1")
-    cache = workdir / ".bforge"
-    (stats,) = cache.glob("stats/*.json")
-    stats.write_text(json.dumps({"order": "stale"}))  # forces a rewrite
-    files = sorted(cache.rglob("*"))
-    before = stats.read_text()
-
-    def fail(src, dst):
-        raise OSError("replace failed")
-
-    monkeypatch.setattr("bforge.cli.os.replace", fail)
-    code, rep = run(capsys, "verify", "--group", "case_i_5_1.pcp", "--pair1", "x;y", "--pair2", "x;y")
-    assert code == 1 and rep["group"]["order"] == "125"
-    assert stats.read_text() == before
-    assert json.loads(before)
-    assert sorted(cache.rglob("*")) == files
+def test_reports_read_no_stats_file(workdir, capsys):
+    # a planted .bforge/stats file with a wrong exponent and class is never
+    # read, and no command writes anything beside its .pcp artifact
+    pres = build_family("case-i", p=5, k=1).presentation
+    key = hashlib.sha256(print_presentation(pres).encode()).hexdigest()
+    planted = workdir / ".bforge" / "stats" / f"{key}.json"
+    planted.parent.mkdir(parents=True)
+    planted.write_text(json.dumps({"name": pres.name, "order": "125", "exponent": "7", "class": 9}))
+    assert run(capsys, "construct", "--family", "case-i", "--p", "5", "--k", "1")[0] == 0
+    code, rep = run(capsys, "verify", "--group", "case_i_5_1.pcp", "--paper-structure", "--strong")
+    assert code == 0
+    assert (rep["group"]["exponent"], rep["group"]["class"]) == ("5", 2)
+    assert rep["determinism_hash"] == "4d55942fae964433e02b7ab93d3481ec16ccdfae7ac6bfca5125cd3128064f86"
+    assert run(capsys, "search", "--group", "case_i_5_1.pcp", "--mode", "find")[0] == 0
+    assert run(capsys, "series", "--group", "case_i_5_1.pcp")[0] == 0
+    assert sorted(f for f in workdir.rglob("*") if f.is_file()) == [planted, workdir / "case_i_5_1.pcp"]
 
 
 def test_reproduce_only(workdir, capsys):

@@ -33,6 +33,7 @@ from bforge.families import (
 )
 from bforge.groups import (
     BYTES_PER_ELEMENT,
+    ElementSet,
     Homomorphism,
     PcGroup,
     _Closure,
@@ -47,7 +48,6 @@ from bforge.groups import (
     mem_available,
     normal_closure,
     quotient_group,
-    quotient_pc_presentation,
     subgroup_closure,
 )
 from bforge.nq import TriangleParams, triangle_quotient
@@ -559,6 +559,14 @@ def test_quotient_rejects_non_normal(g22):
         quotient_group(G, s)
 
 
+def test_quotient_rejects_non_subgroups(g51):
+    G, x = g51.group, g51.x
+    with pytest.raises(ValueError, match="^N does not contain the identity$"):
+        quotient_group(G, ElementSet(G, 1 << x, True, True, (x,)))
+    with pytest.raises(ValueError, match="^N is not a subgroup$"):
+        quotient_group(G, ElementSet(G, 1 | 1 << x, True, True, (x,)))
+
+
 def test_quotient_orders_divide(g31):
     G = g31.group
     N = normal_closure(G, [g31.named["t"]])
@@ -677,7 +685,7 @@ def _negative_quotient():
     # build_negative(1)'s quotient of the case-ii group by <(xy)^3>^G
     base = build_case_ii(1)
     G = base.group
-    return [quotient_pc_presentation(G, normal_closure(G, [G.pow(base.xy(), 3)]), "negative_3_1")]
+    return [quotient_group(G, normal_closure(G, [G.pow(base.xy(), 3)]), "negative_3_1")]
 
 
 # sha256 of the printed presentations and of the projections' full maps,
@@ -776,7 +784,6 @@ def test_hom_epimorphism_to_abelianization(g51, c5c5):
 def test_quotient_pc_presentation_with_power_tails():
     # C16 as a chain of four order-2 generators, modulo the last one: the
     # induced presentation keeps the nontrivial power tails
-    from bforge.groups import quotient_pc_presentation
     from bforge.pc import consistency_check, make_presentation
 
     pres = make_presentation(
@@ -785,7 +792,7 @@ def test_quotient_pc_presentation_with_power_tails():
     )
     G = PcGroup(pres)
     N = subgroup_closure(G, [G.gen_index(3)])
-    Q, proj = quotient_pc_presentation(G, N, "c8")
+    Q, proj = quotient_group(G, N, "c8")
     assert Q.presentation.order() == 8
     assert Q.presentation.names == ("a", "b", "c")
     assert Q.presentation.power_tails[0] == ((1, 1),)

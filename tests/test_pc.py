@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import assert_central_suffix_agrees
+from oracle import assert_central_suffix_agrees, brute_prime_power_base
 
-from bforge.errors import PcpSyntaxError, ShapeError
+from bforge.errors import CapExceeded, PcpSyntaxError, ShapeError
 from bforge.nq import TriangleParams, tail_cover, triangle_quotient
 from bforge.pc import (
     Collector,
@@ -16,6 +16,7 @@ from bforge.pc import (
     make_presentation,
     parse_pcp,
     parse_presentation,
+    prime_power_base,
     print_pcp,
     print_presentation,
 )
@@ -75,6 +76,50 @@ def test_parse_non_prime_power_order_rejected():
         parse_presentation("pcgroup g\ngen x order 6\n")
     with pytest.raises(ShapeError):
         make_presentation("g", ["x"], [12])
+
+
+def test_prime_power_base_matches_trial_division():
+    for m in range(-2, 1 << 14):
+        assert prime_power_base(m) == brute_prime_power_base(m), m
+    rng = random.Random(5)
+    for m in [rng.randrange(1 << 40, 1 << 41) for _ in range(8)] + [1099511627791]:  # the last one is prime
+        assert prime_power_base(m) == brute_prime_power_base(m), m
+
+
+def test_prime_power_base_of_every_small_prime_power():
+    # .pcp relative orders and the nq covers' p^(k+c+3) are powers of small primes
+    primes = [p for p in range(2, 200) if brute_prime_power_base(p) == p]
+    for p in primes:
+        for e in range(1, 80):
+            assert prime_power_base(p**e) == p
+            assert prime_power_base(p**e * 211) is None
+
+
+M31, M61, M89 = 2**31 - 1, 2**61 - 1, 2**89 - 1  # Mersenne primes
+
+
+P20 = 1048583  # the least prime above 2^20
+
+
+@pytest.mark.parametrize("m,base", [
+    (1000000000000000003, 1000000000000000003),
+    (P20**2, P20),
+    (M31 * M31, M31),
+    (M61**3, M61),
+    (M61**40, M61),
+    (M31 * P20, None),
+    (M31 * P20**2, None),
+    (3825123056546413051, None),  # a strong pseudoprime to every prime base up to 23
+    (318665857834031151167461, None),  # ... up to 37: 399165290221 * 798330580441
+], ids=lambda v: str(v)[:24])
+def test_prime_power_base_above_trial_division(m, base):
+    assert prime_power_base(m) == base
+
+
+@pytest.mark.parametrize("m", [M89, M89**2, M31 * M61, 10**30 + 57], ids=["M89", "M89^2", "M31*M61", "10^30+57"])
+def test_prime_power_base_refuses_roots_past_the_exact_bound(m):
+    with pytest.raises(CapExceeded, match="not a power of an integer below"):
+        prime_power_base(m)
 
 
 def test_syntax_error_carries_line_number():
