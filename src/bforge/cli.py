@@ -360,7 +360,7 @@ def cmd_series(args) -> int:
     if args.from_weight is not None and lo > hi:
         raise ValueError(f"--from {lo} is above the group's class {hi}; give --to for trivial terms")
     terms_json = []
-    verdicts: dict[int, dict] = {}  # verdict fields of G/N by N's mask
+    verdicts: dict[int, dict] = {}  # verdict fields of G/N by |N|: the terms descend
     pairs = None
     if pg.family != "abelian" and pg.p:
         try:
@@ -373,20 +373,20 @@ def cmd_series(args) -> int:
             entry = {
                 "weight": i,
                 "order": str(len(term)),
-                "generators": [G.element_name(g) for g in (term.gens or ())],
+                "generators": [G.element_name(g) for g in term.gens],
                 "normal": term.is_normal,
                 "theta_invariant": series.theta_invariant[pos],
                 "index_over_next": str(series.indices[pos]) if pos < len(series.indices) else None,
             }
             if pairs is not None:
-                if term.mask not in verdicts:  # gamma_(i+1) ends weight i and starts weight i+1
+                if len(term) not in verdicts:  # gamma_(i+1) ends weight i and starts weight i+1
                     Q, proj = quotient_group(G, term)
                     beauville, strong = quotient_strongly_real(proj, pg.theta, *pairs, args.sigma_cap)
                     lift = Q.order > args.sigma_cap  # above the cap False means not certified
                     verdict = "strongly real" if strong else "beauville only" if beauville else (
                         "not certified" if lift else "not beauville")
-                    verdicts[term.mask] = {"quotient_strongly_real": strong, "quotient_verdict": verdict, "lift": lift}
-                entry.update(verdicts[term.mask])
+                    verdicts[len(term)] = {"quotient_strongly_real": strong, "quotient_verdict": verdict, "lift": lift}
+                entry.update(verdicts[len(term)])
             terms_json.append(entry)
     payload = {
         "version": __version__,

@@ -10,11 +10,10 @@ from typing import Optional
 
 from .groups import (
     DEFAULT_ORDER_CAP,
-    ElementSet,
     Homomorphism,
     NormalSeries,
     PcGroup,
-    _Closure,
+    Subgroup,
     _series_indices,
     hom_from_images,
     is_normal,
@@ -22,7 +21,6 @@ from .groups import (
     normal_closure,
     quotient_group,
     require_order,
-    subgroup_closure,
 )
 from .pc import PcPresentation, prime_power_base, make_presentation
 
@@ -220,10 +218,7 @@ def refinement_series(pg: PaperGroup, i: int) -> NormalSeries:
     top = lcs.terms[i - 1] if i - 1 < len(lcs.terms) else G.trivial_set()
     bottom = lcs.terms[i] if i < len(lcs.terms) else G.trivial_set()
     terms = [bottom]
-    gens = list(bottom.gens or bottom.indices())
-    closure = _Closure(G)  # the current term, grown along the chain
-    closure.sift(gens)
-    current = bottom
+    closure = Subgroup(G, bottom.table[:], bottom.gens)  # the current term, grown along the chain
     for s in left_normed_commutators(G, pg.x, pg.y, i):
         e = 0
         v = s
@@ -231,18 +226,14 @@ def refinement_series(pg: PaperGroup, i: int) -> NormalSeries:
             v = G.pow(v, p)
             e += 1
         for j in range(e - 1, -1, -1):
-            gens.append(G.pow(s, p**j))
-            closure.add(gens[-1])
-            mask = closure.mask()
-            normal = is_normal(G, ElementSet(G, mask, True, False, tuple(gens)))
-            current = ElementSet(G, mask, True, normal, tuple(gens))
-            terms.append(current)
-    if current.mask != top.mask:
+            closure.add(G.pow(s, p**j))
+            terms.append(Subgroup(G, closure.table[:], closure.gens, is_normal(G, closure)))
+    if len(terms[-1]) != len(top):  # terms[-1] lies in top
         raise AssertionError("left-normed commutators failed to span the layer")
     terms.reverse()
     flags = []
     for term in terms:
-        inv = all(pg.theta(h) in term for h in (term.gens or term.indices()))
+        inv = all(pg.theta(h) in term for h in term.gens)
         flags.append(inv)
         if not term.is_normal:
             raise AssertionError("refinement term is not normal")
@@ -260,16 +251,16 @@ def full_refined_series(pg: PaperGroup) -> NormalSeries:
     G = pg.group
     lcs = lower_central_series(G)
     cls = len(lcs.terms) - 1
-    terms: list[ElementSet] = [G.as_set()]
+    terms: list[Subgroup] = [G.as_set()]
     flags: list[Optional[bool]] = [True]
     for i in range(2, cls + 1):
         block = refinement_series(pg, i)
         for term, flag in zip(block.terms, block.theta_invariant):
-            if terms and terms[-1].mask == term.mask:
+            if len(terms[-1]) == len(term):  # the previous block's bottom, met again at the top
                 continue
             terms.append(term)
             flags.append(flag)
-    if len(terms) == 1 or terms[-1].mask != 1:
+    if len(terms) == 1 or len(terms[-1]) != 1:
         terms.append(G.trivial_set())
         flags.append(True)
     indices = _series_indices(terms)

@@ -2,8 +2,9 @@
 
 Every group is a PcGroup, quotients included.  Elements are dense indices
 0..|G|-1, the mixed-radix rank of the normal-form exponent vector
-(lexicographic order), so index 0 is the identity.  Subsets of a group are
-bitmasks over indices.
+(lexicographic order), so index 0 is the identity.  A subgroup is its
+induced pc sequence (Subgroup); other subsets, such as conjugacy classes and
+kernels, are bitmasks over indices.
 
 Groups are single-threaded objects: their caches (inverses, element orders,
 conjugacy data, power classes, Frattini lines, ...) fill on first read.
@@ -84,31 +85,6 @@ def bit_indices(mask: int) -> Iterator[int]:
         base += 8
 
 
-@dataclass(frozen=True)
-class ElementSet:
-    """Dense index-set over a group; the working currency for subgroups and
-    conjugacy classes.  (Sigma sets are masks over class ids, not over
-    elements: see beauville.sigma.)"""
-
-    group: "PcGroup"
-    mask: int
-    is_subgroup: bool = False
-    is_normal: bool = False
-    gens: Optional[tuple[int, ...]] = None
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __contains__(self, idx: int) -> bool:
-        return bool(self.mask >> idx & 1)
-
-    def indices(self) -> Iterator[int]:
-        return bit_indices(self.mask)
-
-    def issubset(self, other: "ElementSet") -> bool:
-        return self.mask & ~other.mask == 0
-
-
 class PcGroup:
     """Group enumerated from a consistent pc presentation.
 
@@ -159,7 +135,7 @@ class PcGroup:
         self._classes: Optional[tuple[list[int], list[int], list[int]]] = None
         self._power_classes: dict[int, int] = {}
         self._lcs: Optional[NormalSeries] = None
-        self._frattini: Optional[ElementSet] = None
+        self._frattini: Optional[Subgroup] = None
         self._exponent: Optional[int] = None
         self._lines: Optional[tuple[list[tuple[int, ...]], tuple[int, ...]]] = None
         self._build_gen_step()
@@ -291,14 +267,11 @@ class PcGroup:
             self._exponent = max(self.element_order(r) for r in reps)
         return self._exponent
 
-    def full_mask(self) -> int:
-        return (1 << self.order) - 1
+    def as_set(self) -> Subgroup:
+        return Subgroup(self, [(s, 0, 1) for s in self.strides], tuple(self.generators), True)
 
-    def as_set(self) -> ElementSet:
-        return ElementSet(self, self.full_mask(), True, True, tuple(self.generators))
-
-    def trivial_set(self) -> ElementSet:
-        return ElementSet(self, 1, True, True, ())
+    def trivial_set(self) -> Subgroup:
+        return Subgroup(self, is_normal=True)
 
     # -- conjugacy -----------------------------------------------------------
 
@@ -401,8 +374,9 @@ class Homomorphism:
     def __call__(self, a: int) -> int:
         return self.full_map[a]
 
-    def kernel(self) -> ElementSet:
-        return ElementSet(self.source, _pack(bytes(map((0).__eq__, self.full_map))), True, True)
+    def kernel(self) -> int:
+        """The kernel as a bitmask over the source's indices."""
+        return _pack(bytes(map((0).__eq__, self.full_map)))
 
 
 def _eval_word(H: PcGroup, images: list[int], word: Word) -> int:
@@ -508,23 +482,30 @@ def hom_from_images(G: PcGroup, H: PcGroup, gens: list[int], images: list[int]) 
 # -- subgroup machinery ------------------------------------------------------
 
 
-class _Closure:
-    """Incremental subgroup closure: the induced pc sequence of the subgroup
-    (a _sift_into table without images) and the seeds it kept.
+class Subgroup:
+    """A subgroup of G as its induced pc sequence (a _sift_into table without
+    images), the seeds it kept, which generate it, and whether it is known
+    to be normal.
 
     add(s) sifts s in and keeps it when the table changed, that is when s
-    was not a member.  x in cl and the exponents of G/N read one reduction
-    (residues).  mask() lists the normal words u_0^a_0 u_1^a_1 ... of the
-    sequence, a_d below m_d/e_d, by column walks (_extend): the one step
-    that needs the enumerated group; the rest is mul, pow, comm and digits.
+    was not a member.  len(H) is the product of the m_d/e_d; x in H and the
+    exponents of G/N read one reduction (residues): mul, pow, comm and digit
+    reads alone.  Only mask, the members as a bitmask, needs the enumerated
+    group: it is built on first read and cached until the next sift.
     """
 
-    def __init__(self, G: PcGroup):
-        self.group, self.gens = G, []
-        self.table = [(0, 0, m) for m in G.presentation.orders]
+    def __init__(self, G: PcGroup, table: Optional[list[tuple[int, int, int]]] = None,
+                 gens: tuple[int, ...] = (), is_normal: bool = False):
+        self.group, self.gens, self.is_normal = G, gens, is_normal
+        self.table = [(0, 0, m) for m in G.presentation.orders] if table is None else table
+        self._mask: Optional[int] = None
+
+    def __len__(self) -> int:
+        return prod(m // e for (_, _, e), m in zip(self.table, self.group.presentation.orders))
 
     def sift(self, xs: Iterable[int]) -> None:
         _sift_into(self.group, _Trivial, self.table, [(x, 0) for x in xs])
+        self._mask = None
 
     def residues(self, x: int) -> Iterator[tuple[int, int]]:
         """(i, r) for each depth i where the reduction of x meets a nonzero
@@ -551,47 +532,56 @@ class _Closure:
         self.sift([s])
         if self.table == before:
             return False
-        self.gens.append(s)
+        self.gens += (s,)
         return True
 
+    @property
     def mask(self) -> int:
-        """The members as a bitmask."""
-        G, members = self.group, bytearray(self.group.order)
-        seq = [(u, m // e) for (u, _, e), m in zip(self.table, G.presentation.orders) if u]
-        for x in _extend(G, [m for _, m in seq], [u for u, _ in seq]):
-            members[x] = 1
-        return _pack(members)
+        """The members as a bitmask: the normal words u_0^a_0 u_1^a_1 ... of
+        the sequence, a_d below m_d/e_d, listed by column walks (_extend)."""
+        if self._mask is None:
+            G, members = self.group, bytearray(self.group.order)
+            seq = [(u, m // e) for (u, _, e), m in zip(self.table, G.presentation.orders) if u]
+            for x in _extend(G, [m for _, m in seq], [u for u, _ in seq]):
+                members[x] = 1
+            self._mask = _pack(members)
+        return self._mask
+
+    def indices(self) -> Iterator[int]:
+        return bit_indices(self.mask)
 
 
-def subgroup_closure(G: PcGroup, seeds: Iterable[int]) -> ElementSet:
-    """Smallest subgroup containing the seeds, adjoined one by one to one
-    _Closure; gens are the seeds it kept (not yet members), in order."""
-    cl = _Closure(G)
+def subgroup_closure(G: PcGroup, seeds: Iterable[int]) -> Subgroup:
+    """Smallest subgroup containing the seeds, adjoined one by one; gens are
+    the seeds it kept (not yet members), in order."""
+    cl = Subgroup(G)
     for s in seeds:
         cl.add(s)
-    return ElementSet(G, cl.mask(), True, False, tuple(cl.gens))
+    return cl
 
 
-def normal_closure(G: PcGroup, seeds: Iterable[int]) -> ElementSet:
+def normal_closure(G: PcGroup, seeds: Iterable[int]) -> Subgroup:
     """Smallest normal subgroup containing the seeds."""
-    cl = _Closure(G)
+    cl = Subgroup(G, is_normal=True)
     pending = [s for s in seeds]
     while pending:
         s = pending.pop()
         if cl.add(s):
             pending += [G.conjugate(s, g) for g in G.generators]
-    return ElementSet(G, cl.mask(), True, True, tuple(cl.gens))
+    return cl
 
 
-def is_normal(G: PcGroup, s: ElementSet) -> bool:
-    gens = s.gens if s.gens is not None else list(s.indices())
-    return all(s.mask >> G.conjugate(h, g) & 1 for h in gens for g in G.generators)
+def is_normal(G: PcGroup, H: Subgroup) -> bool:
+    """Whether the conjugates of H's generators by G's marked generators,
+    which generate G, all lie in H."""
+    return all(G.conjugate(h, g) in H for h in H.gens for g in G.generators)
 
 
-def conjugacy_class(G: PcGroup, a: int) -> ElementSet:
-    """The conjugacy class of a, packed from the class ids in one pass."""
+def conjugacy_class(G: PcGroup, a: int) -> int:
+    """The conjugacy class of a as a bitmask, packed from the class ids in
+    one pass."""
     _, class_id, _ = G.conjugacy_data()
-    return ElementSet(G, _pack(bytes(map(class_id[a].__eq__, class_id))))
+    return _pack(bytes(map(class_id[a].__eq__, class_id)))
 
 
 @dataclass(frozen=True)
@@ -599,7 +589,7 @@ class NormalSeries:
     """Descending series of normal subgroups with per-step annotations."""
 
     group: PcGroup
-    terms: tuple[ElementSet, ...]
+    terms: tuple[Subgroup, ...]
     indices: tuple[int, ...]
     theta_invariant: tuple[Optional[bool], ...] = ()
 
@@ -607,12 +597,13 @@ class NormalSeries:
         return tuple(len(t) for t in self.terms)
 
 
-def _series_indices(terms: list[ElementSet]) -> tuple[int, ...]:
+def _series_indices(terms: list[Subgroup]) -> tuple[int, ...]:
     return tuple(len(a) // len(b) for a, b in zip(terms, terms[1:]))
 
 
 def lower_central_series(G: PcGroup) -> NormalSeries:
-    """G = gamma_1 >= gamma_2 >= ... terminating at 1."""
+    """G = gamma_1 >= gamma_2 >= ... terminating at 1.  Each term lies in
+    the one before, so equal orders mean the series stopped."""
     if G._lcs is not None:
         return G._lcs
     terms = [G.as_set()]
@@ -620,7 +611,7 @@ def lower_central_series(G: PcGroup) -> NormalSeries:
         H = terms[-1]
         comms = [G.comm(h, g) for h in H.gens for g in G.generators]
         N = normal_closure(G, comms)
-        if N.mask == H.mask:
+        if len(N) == len(H):
             raise ValueError(f"{G.name}: lower central series does not reach 1")
         terms.append(N)
     series = NormalSeries(G, tuple(terms), _series_indices(terms), (None,) * len(terms))
@@ -628,7 +619,7 @@ def lower_central_series(G: PcGroup) -> NormalSeries:
     return series
 
 
-def frattini(G: PcGroup) -> ElementSet:
+def frattini(G: PcGroup) -> Subgroup:
     """Frattini subgroup G' G^r, r the product of the primes of |G|: every
     tail lies in later generators, so a PcGroup is nilpotent, the product of
     its Sylow subgroups P, and Phi(G) is the product of their P' P^p."""
@@ -636,14 +627,13 @@ def frattini(G: PcGroup) -> ElementSet:
         return G._frattini
     lcs = lower_central_series(G)
     gamma2 = lcs.terms[1] if len(lcs.terms) > 1 else G.trivial_set()
-    seeds = list(gamma2.gens or gamma2.indices())
-    seeds += [G.pow(g, prod(p for p, _ in G._p_parts)) for g in G.generators]
-    sub = subgroup_closure(G, seeds)
-    G._frattini = ElementSet(G, sub.mask, True, True, sub.gens)
+    seeds = list(gamma2.gens) + [G.pow(g, prod(p for p, _ in G._p_parts)) for g in G.generators]
+    G._frattini = subgroup_closure(G, seeds)
+    G._frattini.is_normal = True
     return G._frattini
 
 
-def agemo(G: PcGroup, i: int) -> ElementSet:
+def agemo(G: PcGroup, i: int) -> Subgroup:
     """Subgroup generated by all p^i-th powers."""
     if G.prime is None:
         raise ValueError("agemo requires a p-group")
@@ -651,51 +641,44 @@ def agemo(G: PcGroup, i: int) -> ElementSet:
         return G.as_set()
     e = G.prime**i
     sub = subgroup_closure(G, dict.fromkeys(G.pow(g, e) for g in range(G.order)))  # each power once, in order
-    return ElementSet(G, sub.mask, True, True, sub.gens)
+    sub.is_normal = True
+    return sub
 
 
 # -- quotients on their induced pc presentations -------------------------------
 
 
-def quotient_group(G: PcGroup, N: ElementSet, name: Optional[str] = None) -> tuple[PcGroup, Homomorphism]:
+def quotient_group(G: PcGroup, N: Subgroup, name: Optional[str] = None) -> tuple[PcGroup, Homomorphism]:
     """G/N, called name (default "<G>/N<|N|>"), and the projection; rejects
-    an N that is not a normal subgroup.
+    an N that is not normal.
 
-    N's generators are sifted once, into the induced pc sequence that checks
-    N and that quotient_pc_presentation presents G/N from.  The trivial N
-    gives G itself with the identity map, a range that holds no per-element
-    table."""
-    if not N.mask & 1:
-        raise ValueError("N does not contain the identity")
-    seq = _Closure(G)
-    seq.sift(N.gens if N.gens is not None else N.indices())
-    if seq.mask() != N.mask:
-        raise ValueError("N is not a subgroup")
+    quotient_pc_presentation presents G/N from N's own induced pc sequence.
+    The trivial N gives G itself with the identity map, a range that holds
+    no per-element table."""
     if not is_normal(G, N):
         raise ValueError("N is not normal")
-    if N.mask == 1:
+    if len(N) == 1:
         return G, Homomorphism(G, G, range(G.order), True)
-    return quotient_pc_presentation(G, seq, name or f"{G.name}/N{len(N)}")
+    return quotient_pc_presentation(G, N, name or f"{G.name}/N{len(N)}")
 
 
-def quotient_pc_presentation(G: PcGroup, seq: _Closure, name: str) -> tuple[PcGroup, Homomorphism]:
+def quotient_pc_presentation(G: PcGroup, N: Subgroup, name: str) -> tuple[PcGroup, Homomorphism]:
     """G/N as a PcGroup called name, on the pc presentation that G's induces
-    on the images of its pc generators, and the projection.  seq is the
-    induced pc sequence of a normal subgroup N (quotient_group sifts and
-    checks it).
+    on the images of its pc generators, and the projection, for a normal
+    subgroup N (quotient_group checks that it is normal).
 
-    seq has leading exponent e_i at depth i (m_i when N has no element
-    there).  The image of g_i has relative order e_i, and it is a generator
-    of G/N when e_i > 1; the exponent of xN on it is x's residue at depth i
-    (_Closure.residues).  The tails are the factored g_i^(e_i) and
+    N's induced pc sequence has leading exponent e_i at depth i (m_i when N
+    has no element there).  The image of g_i has relative order e_i, and it
+    is a generator of G/N when e_i > 1; the exponent of xN on it is x's
+    residue at depth i (Subgroup.residues).  The tails are the factored g_i^(e_i) and
     [g_j, g_i], and the projection extends the images of G's pc generators
     one digit at a time (_extend).  No coset is enumerated.
     """
     pres, strides = G.presentation, G.strides
-    kept = [(i, e) for i, (_, _, e) in enumerate(seq.table) if e > 1]  # (i, relative order of g_i's image)
+    kept = [(i, e) for i, (_, _, e) in enumerate(N.table) if e > 1]  # (i, relative order of g_i's image)
 
     def factor(x: int) -> tuple[int, ...]:
-        exps = dict(seq.residues(x))
+        exps = dict(N.residues(x))
         return tuple(exps.get(i, 0) for i, _ in kept)
 
     def word(x: int) -> Word:

@@ -487,6 +487,12 @@ def parse_pcp(text: str) -> PcpFile:
             raise PcpSyntaxError(lineno, f"unknown generator in comm {gj} {gi}")
         j, i = names.index(gj), names.index(gi)
         comm_tails[(j, i)] = _parse_word(wtext, names, lineno)
+    # every .pcp consumer enumerates its group, which no relative order this
+    # large allows: refuse it before make_presentation factors it
+    for nm, m, _, _ in gens:
+        if m >= _MR_BOUND:
+            raise CapExceeded(f"relative order of {nm} has {m.bit_length()} bits: at least {_MR_BOUND}, "
+                              f"too large for any group")
     try:
         pres = make_presentation(name, names, orders, power_tails, comm_tails)
     except ShapeError as exc:

@@ -29,6 +29,8 @@ from .families import (
 )
 from .groups import (
     PcGroup,
+    bit_indices,
+    conjugacy_class,
     frattini,
     hom_from_images,
     lower_central_series,
@@ -209,9 +211,7 @@ def criterion_5(cache: GroupCache) -> CriterionResult:
     derived_pow = subgroup_closure(G, [G.pow(h, e) for h in derived.indices()])
     xe = G.pow(pg.x, e)
     coset = {G.mul(xe, d) for d in derived_pow.indices()}
-    from .groups import conjugacy_class
-
-    cls = set(conjugacy_class(G, xe).indices())
+    cls = set(bit_indices(conjugacy_class(G, xe)))
     ok = _check(details, ok, cls == coset, f"class of x^{e} equals its derived-power coset ({len(cls)} elements)")
     phi = frattini(G)
     same_powers = all(G.pow(G.mul(pg.x, u), e) in coset for u in phi.indices())

@@ -90,17 +90,21 @@ def test_oversized_parameters_exit_3_quickly(workdir, argv, order):
     ["search", "--group", "huge.pcp", "--mode", "find"],
 ])
 def test_huge_prime_relative_order_exits_3_quickly(workdir, argv):
-    # deciding that 10^18 + 3 is prime takes no sqrt(m) trial division
-    (workdir / "huge.pcp").write_text(
-        "pcgroup huge\ngen a order 1000000000000000003\ngen b order 1000000000000000003\n"
-    )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "bforge.cli", *argv], env=env, capture_output=True, text=True, timeout=20,
-    )
-    assert proc.returncode == 3, proc.stderr
-    assert proc.stderr.startswith("error: group order 1000000000000000006000000000000000009 exceeds cap")
-    assert [f.name for f in workdir.iterdir()] == ["huge.pcp"]
+    for gens, error in [
+        # deciding that 10^18 + 3 is prime takes no sqrt(m) trial division
+        ("gen a order 1000000000000000003\ngen b order 1000000000000000003\n",
+         "error: group order 1000000000000000006000000000000000009 exceeds cap"),
+        # (2^61 - 1)^220 is refused as read, before 4 s of trial division
+        (f"gen a order {(2**61 - 1) ** 220}\ngen b order 3\n", "error: relative order of a has 13420 bits"),
+    ]:
+        (workdir / "huge.pcp").write_text("pcgroup huge\n" + gens)
+        proc = subprocess.run(
+            [sys.executable, "-m", "bforge.cli", *argv], env=env, capture_output=True, text=True, timeout=20,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith(error)
+        assert [f.name for f in workdir.iterdir()] == ["huge.pcp"]
 
 
 def test_nq_over_memory_exits_3_without_artifact(workdir):
@@ -336,7 +340,7 @@ def test_series_decides_each_shared_term_once(workdir, capsys, monkeypatch):
     decide = bforge.cli.quotient_strongly_real
 
     def counting(proj, *args):
-        decided.append(proj.kernel().mask)
+        decided.append(proj.kernel())
         return decide(proj, *args)
 
     monkeypatch.setattr(bforge.cli, "quotient_strongly_real", counting)
@@ -347,6 +351,24 @@ def test_series_decides_each_shared_term_once(workdir, capsys, monkeypatch):
     verdict = {}
     for t in rep["terms"]:
         assert verdict.setdefault(t["order"], t["quotient_strongly_real"]) == t["quotient_strongly_real"]
+
+
+def test_series_and_search_read_no_subgroup_mask(workdir, capsys, monkeypatch):
+    # orders, membership, normality and quotient presentations all read the
+    # induced pc sequence: neither command enumerates a subgroup
+    from bforge.groups import Subgroup
+
+    reads = []
+    build = Subgroup.mask.fget
+    monkeypatch.setattr(Subgroup, "mask", property(lambda H: reads.append(len(H)) or build(H)))
+    run(capsys, "nq", "--p", "3", "--k", "1", "--class", "4", "--out", "tq314.pcp")
+    assert run(capsys, "series", "--group", "tq314.pcp")[0] == 0
+    run(capsys, "nq", "--p", "2", "--k", "2", "--class", "4", "--out", "tq224.pcp")
+    code, rep = run(capsys, "search", "--group", "tq224.pcp", "--mode", "find")
+    assert code == 0 and rep["group"]["order"] == "1024"
+    assert reads == []
+    G = PcGroup(parse_pcp(Path("tq314.pcp").read_text()).presentation)
+    assert G.trivial_set().mask == 1 and reads == [1]  # the patched property does count
 
 
 def test_series_fills_only_the_missing_recipe_exponent(workdir, capsys):
@@ -517,9 +539,9 @@ _GOLDEN = [
     ("construct --family case-ii --k 1", 0, "144436e47fb39db54c9e4b6d2404bbafe935081d1fc9edbcd12ea1331bdac36c"),
     ("verify --group case_i_5_1.pcp --paper-structure --strong", 0,
      "4d55942fae964433e02b7ab93d3481ec16ccdfae7ac6bfca5125cd3128064f86"),
-    ("series --group case_ii_3_1.pcp", 0, "fed0ab3ff042d4f5efc1f0098880f6ed6873be433e174daaa26546f17850ab01"),
+    ("series --group case_ii_3_1.pcp", 0, "c37441fa0b10d143d1de0dbf16f3f1f99dedac6041122b521cad8bc45a4ac857"),
     ("series --group case_ii_3_1.pcp --sigma-cap 10", 0,
-     "42ff62129d3b6bbb19ffb5ca9ec70d0e4adbd806df1a295c276ab535586f281a"),
+     "2746373ca70ebfa1f8607a0d3b0a446b9993a903e791003dbd2a3d328db3aaf1"),
     ("search --group case_iii_2_2.pcp --mode find", 0,
      "4fe370ee2899a3571b33ace0e4ab31809cc8f4b7ba5fe0952d4393844f4b83d8"),
     ("search --group case_iii_2_2.pcp --mode prove-none", 1,

@@ -135,10 +135,10 @@ def test_negative_t_equals_w(neg1):
 def test_negative_is_quotient_of_case_ii(neg1, g31):
     G = g31.group
     epi = hom_from_images(G, neg1.group, [g31.x, g31.y], [neg1.x, neg1.y])
-    assert len(epi.kernel()) == 3
+    assert epi.kernel().bit_count() == 3
     # the kernel is exactly the normal closure of (xy)^3
     ncl = normal_closure(G, [G.pow(g31.xy(), 3)])
-    assert epi.kernel().mask == ncl.mask
+    assert epi.kernel() == ncl.mask
 
 
 # -- theta ----------------------------------------------------------------------
@@ -205,7 +205,7 @@ def test_refinement_terms_normal_and_invariant(g22):
         for term, flag in zip(series.terms, series.theta_invariant):
             assert flag
             assert is_normal(g22.group, term)
-            for h in term.gens or term.indices():
+            for h in term.gens:
                 assert g22.theta(h) in term
         assert all(idx == 2 for idx in series.indices)
 

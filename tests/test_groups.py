@@ -33,10 +33,9 @@ from bforge.families import (
 )
 from bforge.groups import (
     BYTES_PER_ELEMENT,
-    ElementSet,
     Homomorphism,
     PcGroup,
-    _Closure,
+    Subgroup,
     _extend,
     agemo,
     bit_indices,
@@ -269,12 +268,12 @@ def test_element_orders_match_brute_beyond_p_groups(n):
 
 
 def test_class_of_identity(g51):
-    assert set(conjugacy_class(g51.group, 0).indices()) == {0}
+    assert set(bit_indices(conjugacy_class(g51.group, 0))) == {0}
 
 
 def test_class_of_x_in_g51(g51):
     G = g51.group
-    cls = set(conjugacy_class(G, g51.x).indices())
+    cls = set(bit_indices(conjugacy_class(G, g51.x)))
     assert cls == brute_class(G, g51.x)
     z = g51.named["z"]
     assert cls == {G.mul(g51.x, G.pow(z, j)) for j in range(5)}
@@ -284,7 +283,7 @@ def test_class_of_x_in_g51(g51):
 def test_classes_partition_group(g31):
     G = g31.group
     sizes, class_id, reps = G.conjugacy_data()
-    masks = [conjugacy_class(G, r).mask for r in reps]
+    masks = [conjugacy_class(G, r) for r in reps]
     assert [m.bit_count() for m in masks] == sizes
     assert all(class_id[r] == cid for cid, r in enumerate(reps))
     assert sum(m.bit_count() for m in masks) == G.order
@@ -293,13 +292,13 @@ def test_classes_partition_group(g31):
     for m in masks:
         assert union & m == 0
         union |= m
-    assert union == G.full_mask()
+    assert union == (1 << G.order) - 1
 
 
 def test_classes_match_brute(neg1):
     G = neg1.group
     for a in range(0, G.order, 7):
-        assert set(conjugacy_class(G, a).indices()) == brute_class(G, a)
+        assert set(bit_indices(conjugacy_class(G, a))) == brute_class(G, a)
 
 
 # -- subgroup machinery ---------------------------------------------------------
@@ -310,7 +309,7 @@ def test_power_classes_match_brute(neg1, g22):
     # the per-class key: the classes met by <a>, from brute_class of every power
     for G in (neg1.group, g22.group, build_abelian(6).group):
         _, _, reps = G.conjugacy_data()
-        masks = [conjugacy_class(G, r).mask for r in reps]  # by class id
+        masks = [conjugacy_class(G, r) for r in reps]  # by class id
         brute = {}
         for a in range(G.order):
             powers = [G.pow(a, j) for j in range(brute_order(G, a))]
@@ -339,7 +338,7 @@ def test_closure_flags_and_divisibility(g22):
     for _ in range(20):
         seeds = [rng.randrange(G.order) for _ in range(rng.randrange(1, 3))]
         s = subgroup_closure(G, seeds)
-        assert s.is_subgroup and 0 in s
+        assert isinstance(s, Subgroup) and 0 in s
         assert G.order % len(s) == 0
         members = list(s.indices())
         sample = members if len(members) <= 16 else rng.sample(members, 16)
@@ -380,14 +379,15 @@ def test_closures_match_brute_and_fold(closure_groups, name, data):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_closure_membership_matches_mask(closure_groups, name, data):
-    # membership reduces modulo the induced sequence; mask() enumerates its
-    # normal words: they must agree on every element after every add
+    # membership reduces modulo the induced sequence, mask enumerates its
+    # normal words and len reads the table: they must agree after every add
     G = closure_groups[name]
-    cl = _Closure(G)
+    cl = Subgroup(G)
     for s in data.draw(st.lists(st.integers(0, G.order - 1), max_size=4)):
         cl.add(s)
-        mask = cl.mask()
+        mask = cl.mask
         assert [x in cl for x in range(G.order)] == [bool(mask >> x & 1) for x in range(G.order)]
+        assert len(cl) == mask.bit_count()
 
 
 @pytest.mark.parametrize("name", [n for n in CLOSURE_GROUPS if n != "c6c6"])
@@ -497,7 +497,7 @@ def test_mem_available_reads_meminfo_text():
 
 
 def test_agemo_zero_is_group(g51):
-    assert agemo(g51.group, 0).mask == g51.group.full_mask()
+    assert agemo(g51.group, 0).mask == (1 << g51.group.order) - 1
 
 
 def test_agemo_g51_criterion(g51):
@@ -531,8 +531,7 @@ def test_trivial_quotient_projection_holds_no_table(g31):
     assert isinstance(proj.full_map, range)
     assert [proj.full_map[a] for a in range(G.order)] == [proj(a) for a in range(G.order)] == list(range(G.order))
     tabled = Homomorphism(G, G, tuple(range(G.order)), True)  # the map as a table
-    assert proj.kernel() == tabled.kernel()
-    assert proj.kernel().mask == 1
+    assert proj.kernel() == tabled.kernel() == 1
 
 
 def test_quotient_negative_order(g31):
@@ -540,7 +539,7 @@ def test_quotient_negative_order(g31):
     N = normal_closure(G, [G.pow(g31.xy(), 3)])
     Q, proj = quotient_group(G, N)
     assert Q.order == 81
-    assert proj.kernel().mask == N.mask
+    assert proj.kernel() == N.mask
 
 
 def test_quotient_abelianization(g31):
@@ -557,14 +556,6 @@ def test_quotient_rejects_non_normal(g22):
     s = subgroup_closure(G, [g22.x])  # <x> is not normal
     with pytest.raises(ValueError):
         quotient_group(G, s)
-
-
-def test_quotient_rejects_non_subgroups(g51):
-    G, x = g51.group, g51.x
-    with pytest.raises(ValueError, match="^N does not contain the identity$"):
-        quotient_group(G, ElementSet(G, 1 << x, True, True, (x,)))
-    with pytest.raises(ValueError, match="^N is not a subgroup$"):
-        quotient_group(G, ElementSet(G, 1 | 1 << x, True, True, (x,)))
 
 
 def test_quotient_orders_divide(g31):
@@ -640,7 +631,7 @@ def test_quotient_matches_coset_oracle(name):
         Q, proj = quotient_group(G, N)
         assert consistency_check(Q.presentation) is None
         assert Q.order * len(N) == G.order
-        assert proj.kernel().mask == N.mask
+        assert proj.kernel() == N.mask
         assert all(proj(G.mul(a, b)) == Q.mul(proj(a), proj(b)) for a, b in pairs)
         coset_of, reps = brute_quotient(G, N)
         image = [proj(r) for r in reps]
@@ -778,7 +769,7 @@ def test_hom_epimorphism_to_abelianization(g51, c5c5):
     H = c5c5.group
     h = hom_from_images(g51.group, H, [g51.x, g51.y], [c5c5.x, c5c5.y])
     assert not h.is_automorphism
-    assert len(h.kernel()) == 5
+    assert h.kernel().bit_count() == 5
 
 
 def test_quotient_pc_presentation_with_power_tails():

@@ -24,7 +24,7 @@ def derived_abelian(G):
 
 
 def y_derived_abelian(G, y, derived):
-    sub = subgroup_closure(G, [y] + list(derived.gens or derived.indices()))
+    sub = subgroup_closure(G, [y] + list(derived.gens))
     gens = list(sub.gens)
     return all(G.mul(a, b) == G.mul(b, a) for a, b in combinations(gens, 2))
 

@@ -97,7 +97,7 @@ def test_each_class_surjects_onto_previous():
         small, sa, sb = nq_group(lp_prev)
         proj = hom_from_images(big, small, [a, b], [sa, sb])
         layer = lp.order() // lp_prev.order()
-        assert len(proj.kernel()) == layer
+        assert proj.kernel().bit_count() == layer
         assert lp.layer_sizes()[lp.nilpotency_class] == layer
         lp_prev = lp
 
