@@ -12,6 +12,7 @@ Conventions: [a, b] = a^-1 b^-1 a b, hence g_j g_i = g_i g_j [g_j, g_i].
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from math import isqrt, log2
 from typing import Iterable, Iterator, Optional
@@ -166,7 +167,13 @@ class Collector:
     Rewriting pushes the leftmost out-of-place generator into the collected
     prefix, conjugating the trailing suffix; tails only involve later
     generators, so the recursion is well-founded on the generator index.
-    Single-threaded: it memoizes tails and conjugates as it collects.
+    Single-threaded: it memoizes as it collects, and every memo lives and
+    dies with the Collector.  It keeps the collected power tails t_i, the
+    powers (g_l^(g_i))^e of conjugates of generators (e = 1 is the
+    conjugate), the powers t_i^q that an exponent overflow multiplies in,
+    and the conjugate s^(g_i) of each suffix s it has lifted.  Results are
+    those of recomputing: the memoized values are pure functions of their
+    keys.
 
     Generators g_z, ..., g_{n-1} from the first index z past every comm
     tail's leading generator form the central suffix: they appear in no
@@ -196,7 +203,8 @@ class Collector:
         ]
         # g_central, ..., g_{n-1} appear in no commutator relation
         self.central = 1 + max((j for (j, _), w in pres.comm_tails.items() if w), default=-1)
-        self._conj_gen: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._conj_gen_pow: dict[tuple[int, int, int], tuple[int, ...]] = {}
+        self._tail_pow: dict[tuple[int, int], tuple[int, ...]] = {}
         self._conj1_memo: list[dict] = [dict() for _ in range(self.n)]
 
     # -- public API ---------------------------------------------------------
@@ -209,9 +217,9 @@ class Collector:
 
     def mul(self, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
         w = list(u)
-        for i in range(self.n):
-            if v[i]:
-                self._rmul(w, i, v[i])
+        for i, e in enumerate(v):
+            if e:
+                self._rmul(w, i, e)
         return tuple(w)
 
     def inv(self, u: tuple[int, ...]) -> tuple[int, ...]:
@@ -224,15 +232,15 @@ class Collector:
     def power(self, u: tuple[int, ...], e: int) -> tuple[int, ...]:
         if e < 0:
             u, e = self.inv(u), -e
-        res = self.identity
+        res = None
         sq = u
         while e:
             if e & 1:
-                res = self.mul(res, sq)
+                res = sq if res is None else self.mul(res, sq)
             e >>= 1
             if e:
                 sq = self.mul(sq, sq)
-        return res
+        return self.identity if res is None else res
 
     def comm(self, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
         return self.mul(self.mul(self.inv(u), self.inv(v)), self.mul(u, v))
@@ -260,20 +268,17 @@ class Collector:
             return
         n, z = self.n, self.central
         s = None  # the part of w after g_i and before the central suffix
-        for l in range(i + 1, z):
-            if w[l]:
-                s = tuple(w[m] if i < m < z else 0 for m in range(n))
-                for m in range(i + 1, z):
-                    w[m] = 0
-                break
+        if any(w[i + 1:z]):
+            zero = self.identity
+            s = zero[:i + 1] + tuple(w[i + 1:z]) + zero[z:]
+            w[i + 1:z] = zero[i + 1:z]
         if s is not None and not self._central_from[i]:
             s = self._conj_pow(s, i, e)
         q, r = divmod(w[i] + e, self.orders[i])
         w[i] = r
         if q:
-            t = self._tail(i)
-            if t is not None:
-                tq = self.power(t, q)
+            tq = self._tail_power(i, q)
+            if tq is not None:
                 for l in range(i + 1, n):
                     if tq[l]:
                         self._rmul(w, l, tq[l])
@@ -288,9 +293,8 @@ class Collector:
         for _ in range(r):
             s = self._conj1(s, i)
         if q:
-            t = self._tail(i)
-            if t is not None:
-                tq = self.power(t, q)
+            tq = self._tail_power(i, q)
+            if tq is not None:
                 s = self.mul(self.inv(tq), self.mul(s, tq))
         return s
 
@@ -299,25 +303,41 @@ class Collector:
         res = memo.get(s)
         if res is not None:
             return res
-        out = self.identity
+        out = None
         for l in range(i + 1, self.n):
             if s[l]:
-                out = self.mul(out, self.power(self._conj_of_gen(l, i), s[l]))
+                c = self._conj_gen_power(l, i, s[l])
+                out = c if out is None else self.mul(out, c)
+        out = self.identity if out is None else out
         memo[s] = out
         return out
 
+    def _tail_power(self, i: int, q: int) -> Optional[tuple[int, ...]]:
+        """t_i^q, or None when g_i's power tail is trivial."""
+        t = self._tail(i)
+        if t is None:
+            return None
+        res = self._tail_pow.get((i, q))
+        if res is None:
+            res = self._tail_pow[(i, q)] = self.power(t, q)
+        return res
+
+    def _conj_gen_power(self, l: int, i: int, e: int) -> tuple[int, ...]:
+        """(g_l^(g_i))^e, as a normal form."""
+        key = (l, i, e)
+        res = self._conj_gen_pow.get(key)
+        if res is None:
+            base = self._conj_of_gen(l, i) if e == 1 else self._conj_gen_power(l, i, 1)
+            res = self._conj_gen_pow[key] = self.power(base, e)
+        return res
+
     def _conj_of_gen(self, l: int, i: int) -> tuple[int, ...]:
         """g_l^(g_i) = g_l [g_l, g_i], as a normal form."""
-        key = (l, i)
-        res = self._conj_gen.get(key)
-        if res is None:
-            w = [0] * self.n
-            self._rmul(w, l, 1)
-            for g, e in self.pres.comm_tails.get(key, ()):
-                self._rmul(w, g, e)
-            res = tuple(w)
-            self._conj_gen[key] = res
-        return res
+        w = [0] * self.n
+        self._rmul(w, l, 1)
+        for g, e in self.pres.comm_tails.get((l, i), ()):
+            self._rmul(w, g, e)
+        return tuple(w)
 
 
 # -- consistency ------------------------------------------------------------
@@ -428,6 +448,24 @@ def _parse_word(text: str, names: tuple[str, ...], line: int) -> Word:
     return tuple(toks)
 
 
+def _parse_order(tok: str, gname: str, line: int) -> int:
+    """A relative order token as an int.  A decimal token with more
+    significant digits than int() reads by default (4,300) raises
+    CapExceeded unread, since it is far above _MR_BOUND; a shorter one that
+    large is refused by its value after parsing."""
+    digits = tok.removeprefix("+").lstrip("0")
+    if digits.isascii() and digits.isdigit():
+        if len(digits) > sys.int_info.default_max_str_digits:
+            raise CapExceeded(f"relative order of {gname} has {len(digits)} digits: at least {_MR_BOUND}, "
+                              f"too large for any group")
+        return int(digits)
+    try:
+        return int(tok)
+    except ValueError:
+        shown = tok if len(tok) <= 40 else tok[:40] + "..."
+        raise PcpSyntaxError(line, f"bad order {shown!r}")
+
+
 def parse_pcp(text: str) -> PcpFile:
     """Parse the line-oriented .pcp format (UTF-8, '#' comments)."""
     name = None
@@ -449,10 +487,7 @@ def parse_pcp(text: str) -> PcpFile:
         elif kw == "gen":
             if len(fields) < 4 or fields[2] != "order":
                 raise PcpSyntaxError(lineno, "expected: gen <name> order <m> [power <word>]")
-            try:
-                m = int(fields[3])
-            except ValueError:
-                raise PcpSyntaxError(lineno, f"bad order {fields[3]!r}")
+            m = _parse_order(fields[3], fields[1], lineno)
             power = ""
             if len(fields) > 4:
                 if fields[4] != "power":

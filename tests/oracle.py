@@ -204,16 +204,12 @@ def brute_search_classes(G, theta=None):
     return total, least, inverted if theta is not None else None
 
 
-def assert_central_suffix_agrees(pres, seed, rounds, same):
-    """Collect, multiply, invert and power random words with pres's
-    Collector and with one whose central suffix is switched off, so that
-    every generator after g_i is lifted and conjugated; same(x, y) decides
-    whether two normal forms agree."""
-    fast, full = Collector(pres), Collector(pres)
-    full.central = full.n
-    assert fast.central < fast.n
+def _assert_collectors_agree(a, b, seed, rounds, same, max_exp):
+    """Collect, multiply, invert and raise to powers |e| <= max_exp random
+    words with the Collectors a and b, over one presentation; same(x, y)
+    decides whether two normal forms agree."""
     rng = random.Random(seed)
-    n, orders = pres.ngens, pres.orders
+    n, orders = a.n, a.orders
 
     def word():
         gens = [rng.randrange(n) for _ in range(rng.randrange(1, 6))]
@@ -221,12 +217,59 @@ def assert_central_suffix_agrees(pres, seed, rounds, same):
 
     for _ in range(rounds):
         u, v = word(), word()
-        cu, cv = fast.collect(u), fast.collect(v)
-        assert same(cu, full.collect(u)) and same(cv, full.collect(v))
-        assert same(fast.mul(cu, cv), full.mul(cu, cv))
-        assert same(fast.inv(cu), full.inv(cu))
-        e = rng.randrange(-30, 31)
-        assert same(fast.power(cu, e), full.power(cu, e))
+        cu, cv = a.collect(u), a.collect(v)
+        assert same(cu, b.collect(u)) and same(cv, b.collect(v))
+        assert same(a.mul(cu, cv), b.mul(cu, cv))
+        assert same(a.inv(cu), b.inv(cu))
+        e = rng.randrange(-max_exp, max_exp + 1)
+        assert same(a.power(cu, e), b.power(cu, e))
+
+
+def assert_central_suffix_agrees(pres, seed, rounds, same):
+    """Compare pres's Collector with one whose central suffix is switched
+    off, so that every generator after g_i is lifted and conjugated."""
+    fast, full = Collector(pres), Collector(pres)
+    full.central = full.n
+    assert fast.central < fast.n
+    _assert_collectors_agree(fast, full, seed, rounds, same, 30)
+
+
+class MemoFreeCollector(Collector):
+    """A Collector that recomputes t_i^q and (g_l^(g_i))^e by repeated
+    squaring on every use instead of reading them from its memos."""
+
+    def _tail_power(self, i, q):
+        t = self._tail(i)
+        return None if t is None else self.power(t, q)
+
+    def _conj_gen_power(self, l, i, e):
+        return self.power(self._conj_of_gen(l, i), e)
+
+
+def assert_memos_agree(pres, seed, rounds):
+    """Compare pres's Collector with a MemoFreeCollector: both take the
+    same collection path, so their normal forms must be equal even on an
+    inconsistent presentation."""
+    _assert_collectors_agree(Collector(pres), MemoFreeCollector(pres), seed, rounds,
+                             lambda x, y: x == y, 3 * max(pres.orders))
+
+
+def mobius(n: int) -> int:
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+def witt(i: int) -> int:
+    """W(2, i) = (1/i) sum over d | i of mu(d) 2^(i/d): the rank of the
+    degree-i part of the free Lie ring on two generators."""
+    return sum(mobius(d) * 2 ** (i // d) for d in range(1, i + 1) if i % d == 0) // i
 
 
 def bfs_hom(G, H, gens, images):

@@ -97,6 +97,8 @@ def test_huge_prime_relative_order_exits_3_quickly(workdir, argv):
          "error: group order 1000000000000000006000000000000000009 exceeds cap"),
         # (2^61 - 1)^220 is refused as read, before 4 s of trial division
         (f"gen a order {(2**61 - 1) ** 220}\ngen b order 3\n", "error: relative order of a has 13420 bits"),
+        # int() refuses a 5,001-digit token; its length alone puts it over the bound
+        ("gen a order 1" + "0" * 4999 + "3\ngen b order 3\n", "error: relative order of a has 5001 digits"),
     ]:
         (workdir / "huge.pcp").write_text("pcgroup huge\n" + gens)
         proc = subprocess.run(

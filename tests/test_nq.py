@@ -2,7 +2,7 @@ import hashlib
 from math import comb, prod
 
 import pytest
-from oracle import assert_central_suffix_agrees
+from oracle import MemoFreeCollector, assert_central_suffix_agrees, assert_memos_agree, witt
 
 from bforge.errors import CapExceeded
 from bforge.groups import PcGroup, hom_from_images, lower_central_series
@@ -255,6 +255,48 @@ def test_overlaps_touching_a_tail_generator_are_zero(p, k, cls):
     assert touching == comb(n + m, 3) - comb(n, 3) + (n + m) ** 2 - n**2
 
 
+@pytest.mark.parametrize("p,k,cls", _COVERS)
+def test_memos_match_recomputation_on_covers(p, k, cls):
+    # a cover is inconsistent, so its normal forms depend on the collection
+    # path; the memos must not change that path
+    star, _ = _cover(p, k, cls)
+    assert_memos_agree(star, 2024, 150)
+
+
+# the (p, k, r, class) inputs of the nq benchmark workload
+_BENCH_NQ = [(2, 2, None, 5), (3, 1, None, 5), (3, 1, 27, 5), (5, 1, None, 5), (7, 1, None, 5),
+             (11, 1, None, 5), (13, 1, None, 5), (3, 2, None, 4), (2, 3, None, 5), (5, 2, None, 5)]
+
+
+@pytest.mark.parametrize("p,k,r,c", _BENCH_NQ)
+def test_extend_class_rows_do_not_depend_on_the_memos(monkeypatch, p, k, r, c):
+    # the relation rows are read off collections in the inconsistent cover
+    def rows_of(collector):
+        seen = []
+
+        def spy(rows, m):
+            seen.append((m, [list(row) for row in rows]))
+            return hermite_form(rows, m)
+
+        monkeypatch.setattr("bforge.nq.hermite_form", spy)
+        monkeypatch.setattr("bforge.nq.Collector", collector)
+        lp = triangle_quotient(TriangleParams(p, k, r), c, order_cap=10**40)
+        return seen, print_pcp(PcpFile(lp.pres))
+
+    assert rows_of(MemoFreeCollector) == rows_of(Collector)
+
+
+@pytest.mark.parametrize("p,c", [(p, c) for p in (5, 7, 11, 13) for c in range(1, min(5, p - 1) + 1)])
+def test_layers_have_lazard_witt_ranks(p, c):
+    # with k = 1 and c < p, T/gamma_{c+1} is the free 2-generator class-c
+    # group of exponent p, whose layer i is elementary abelian of rank
+    # W(2, i) by the Lazard correspondence
+    lp = triangle_quotient(TriangleParams(p, 1), c, order_cap=10**40)
+    assert lp.nilpotency_class == c and not lp.stabilized
+    assert lp.layer_sizes() == {i: p ** witt(i) for i in range(1, c + 1)}
+    assert set(lp.pres.orders) == {p}
+
+
 # sha256 of print_pcp of the class-5 quotient, for the seven bench inputs
 # whose answer is known; extend_class must reproduce them byte for byte
 _CLASS_FIVE_SHA256 = {
@@ -330,7 +372,7 @@ def test_quotients_that_need_power_relations(p, k, c, layers):
     assert [s for _, s in sorted(lp.layer_sizes().items())] == layers
     assert lp.order() == prod(layers)
     # weight w has at most W(2, w) generators, the rank of the free Lie ring's degree-w part
-    assert all(lp.weights.count(w) <= witt for w, witt in zip(range(1, c + 1), (2, 1, 2, 3, 6)))
+    assert all(lp.weights.count(w) <= witt(w) for w in range(1, c + 1))
     coll = Collector(lp.pres)
     a, b = coll.collect(lp.a_word), coll.collect(lp.b_word)
     for base, e in ((a, tp.q), (b, tp.q), (coll.mul(a, b), tp.rr)):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import assert_central_suffix_agrees, brute_prime_power_base
+from oracle import MemoFreeCollector, assert_central_suffix_agrees, assert_memos_agree, brute_prime_power_base
 
 from bforge.errors import CapExceeded, PcpSyntaxError, ShapeError
 from bforge.nq import TriangleParams, tail_cover, triangle_quotient
@@ -120,6 +120,26 @@ def test_prime_power_base_above_trial_division(m, base):
 def test_prime_power_base_refuses_roots_past_the_exact_bound(m):
     with pytest.raises(CapExceeded, match="not a power of an integer below"):
         prime_power_base(m)
+
+
+def test_parse_order_token_past_int_digit_limit():
+    # int() refuses more than 4,300 digits, so a longer order token is
+    # refused as too large by its length; a shorter one by its value
+    with pytest.raises(CapExceeded, match="relative order of a has 5001 digits"):
+        parse_pcp("pcgroup g\ngen a order 1" + "0" * 4999 + "3\n")
+    with pytest.raises(CapExceeded, match="has 4301 digits"):
+        parse_pcp("pcgroup g\ngen a order +0001" + "0" * 4300 + "\n")
+    with pytest.raises(CapExceeded, match="has 14281 bits"):
+        parse_pcp("pcgroup g\ngen a order 1" + "0" * 4299 + "\n")
+    with pytest.raises(CapExceeded, match="has 84 bits"):
+        parse_pcp("pcgroup g\ngen a order 1" + "0" * 25 + "\n")
+    # leading zeros do not count, and every spelling int() reads still parses
+    assert parse_presentation("pcgroup g\ngen a order " + "0" * 5000 + "5\n").orders == (5,)
+    assert parse_presentation("pcgroup g\ngen a order +1_1\n").orders == (11,)
+    # a malformed token is quoted only by a bounded prefix
+    with pytest.raises(PcpSyntaxError) as exc:
+        parse_pcp("pcgroup g\ngen a order 5" + "x" * 5000 + "\n")
+    assert str(exc.value).endswith("bad order '5" + "x" * 39 + "...'")
 
 
 def test_syntax_error_carries_line_number():
@@ -348,3 +368,37 @@ def test_central_suffix_index():
 def test_central_suffix_matches_full_lift(pres_fn):
     # on a consistent presentation both paths give the same normal forms
     assert_central_suffix_agrees(pres_fn(), 2024, 300, lambda x, y: x == y)
+
+
+# -- memos ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "pres_fn",
+    [lambda: heisenberg(5), lambda: heisenberg(25), lambda: case_ii(1), lambda: case_ii(2),
+     lambda: case_iii(2), lambda: case_iii(3)],
+    ids=["case-i-5-1", "case-i-5-2", "case-ii-1", "case-ii-2", "case-iii-2", "case-iii-3"],
+)
+def test_memos_match_recomputation_on_paper_presentations(pres_fn):
+    assert_memos_agree(pres_fn(), 2024, 300)
+
+
+@pytest.mark.parametrize("pres_fn", [lambda: case_ii(2), lambda: case_iii(3),
+                                     lambda: triangle_quotient(TriangleParams(5, 2), 4, order_cap=10**40).pres])
+def test_power_edge_exponents(pres_fn):
+    # e = 0 gives the identity and e = +-1 the element and its inverse;
+    # exponents at and past the element's order wrap round it
+    pres = pres_fn()
+    coll, ref = Collector(pres), MemoFreeCollector(pres)
+    rng = random.Random(3)
+    for _ in range(40):
+        u = coll.collect(random_word(rng, pres.ngens, pres.orders, 4))
+        assert coll.power(u, 0) == coll.identity
+        assert coll.power(u, 1) == u
+        assert coll.power(u, -1) == coll.inv(u)
+        order, x = 1, u
+        while x != coll.identity:
+            x, order = coll.mul(x, u), order + 1
+        for e in (order, order + 1, 2 * order - 1, 3 * order, pres.order(), pres.order() + 2):
+            assert coll.power(u, e) == coll.power(u, e % order) == ref.power(u, e)
+            assert coll.power(u, -e) == coll.inv(coll.power(u, e)) == ref.power(u, -e)
