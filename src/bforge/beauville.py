@@ -122,10 +122,6 @@ def check_strongly_real(
     return cert
 
 
-def _inverts(G: PcGroup, theta: Homomorphism, g: int, a: int) -> bool:
-    return G.mul(G.mul(g, theta(a)), G.inv(g)) == G.inv(a)
-
-
 def recipe_congruence(p: int) -> tuple[int, tuple[int, int]]:
     """(modulus, (residue for n1, residue for n2)) of the word recipe
     w_i = (xy)^{n_i} x: mod p with residues (1, 3) for p > 3, mod 4 with
@@ -262,7 +258,7 @@ def exhaustive_search(
         inverted: dict[frozenset, tuple[int, int, int]] = {}
         # g theta(a) g^-1 = a^-1 needs theta(a) conjugate to a^-1
         _, class_id, _ = G.conjugacy_data()
-        flips = [class_id[theta(a)] == class_id[G.inv(a)] for a in range(G.order)]
+        flips = [class_id[t] == class_id[G.inv(a)] for a, t in enumerate(theta.full_map)]
         for x, y, key, weight in _generating_pairs(G):
             total += weight
             classes.setdefault(key, (x, y))
@@ -300,9 +296,12 @@ def _first_disjoint_pair(masks: list[int]) -> Optional[tuple[int, int]]:
 
 
 def _find_conjugator(G, theta, x: int, y: int, limit: int) -> Optional[int]:
-    """The least g < limit with g theta(a) g^-1 = a^-1 for a in {x, y}."""
+    """The least g < limit with g theta(a) g^-1 = a^-1 for a in {x, y};
+    theta(x) and theta(y) are evaluated once, before the scan."""
+    tx, ty, ix, iy = theta(x), theta(y), G.inv(x), G.inv(y)
     for g in range(limit):
-        if _inverts(G, theta, g, x) and _inverts(G, theta, g, y):
+        gi = G.inv(g)
+        if G.mul(G.mul(g, tx), gi) == ix and G.mul(G.mul(g, ty), gi) == iy:
             return g
     return None
 
@@ -335,9 +334,7 @@ def check_strongly_real_via_base(
     idx = min(base_weight - 1, len(lcs.terms) - 1)
     Q2, proj2 = quotient_group(Q, lcs.terms[idx])
     rep = lift_check(proj2, pair1, pair2)
-    inverted = all(
-        _inverts(Q, theta, 0, g) for pair in (pair1, pair2) for g in (pair.x, pair.y)
-    )
+    inverted = all(_find_conjugator(Q, theta, pair.x, pair.y, 1) == 0 for pair in (pair1, pair2))
     ok = bool(pair1.generating and pair2.generating and rep.verdict and inverted)
     return ok, rep
 

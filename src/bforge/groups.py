@@ -3,8 +3,9 @@
 Every group is a PcGroup, quotients included.  Elements are dense indices
 0..|G|-1, the mixed-radix rank of the normal-form exponent vector
 (lexicographic order), so index 0 is the identity.  A subgroup is its
-induced pc sequence (Subgroup); other subsets, such as conjugacy classes and
-kernels, are bitmasks over indices.
+induced pc sequence (Subgroup), and a homomorphism the images of the
+source's pc generators (Homomorphism); other subsets, such as conjugacy
+classes and kernels, are bitmasks over indices.
 
 Groups are single-threaded objects: their caches (inverses, element orders,
 conjugacy data, power classes, Frattini lines, ...) fill on first read.
@@ -362,17 +363,36 @@ FiniteGroup = PcGroup  # the public name of the one group class, kept for its ca
 # -- homomorphisms -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Homomorphism:
-    """A total homomorphism given by its full index map."""
+    """A homomorphism of pc groups as pc_images, the images of the source's
+    pc generators, which determine it: h(a) is the product of
+    pc_images[i]^e_i over the nonzero digits e_i of a's normal word.
 
-    source: PcGroup
-    target: PcGroup
-    full_map: Sequence[int]  # a tuple, or a range for the identity map
-    is_automorphism: bool = False
+    full_map, the image of every index, is built from them by column walks
+    (_extend) the first time it is read and cached, so h(a) is a lookup
+    from then on; callers that map every element read it (frattini_lines,
+    kernel, criterion 2's isomorphisms, the find-strongly-real sweep,
+    criterion 9's random pairs), and callers that map a few call h(a).  A
+    map given as a table (the identity's range) is that cache, filled from
+    the start, and its pc_images are read from it.
+    """
+
+    def __init__(self, source: PcGroup, target: PcGroup, full_map: Optional[Sequence[int]] = None,
+                 is_automorphism: bool = False, *, pc_images: Optional[Sequence[int]] = None):
+        self.source, self.target, self.is_automorphism = source, target, is_automorphism
+        self._map = full_map
+        self.pc_images = list(pc_images) if pc_images is not None else [full_map[s] for s in source.strides]
 
     def __call__(self, a: int) -> int:
-        return self.full_map[a]
+        if self._map is not None:
+            return self._map[a]
+        return _eval_word(self.target, self.pc_images, self.source.word_of(a))
+
+    @property
+    def full_map(self) -> Sequence[int]:
+        if self._map is None:
+            self._map = tuple(_extend(self.target, self.source.presentation.orders, self.pc_images))
+        return self._map
 
     def kernel(self) -> int:
         """The kernel as a bitmask over the source's indices."""
@@ -454,10 +474,11 @@ def hom_from_images(G: PcGroup, H: PcGroup, gens: list[int], images: list[int]) 
 
     sift_pairs decides that gens generate G and that the map is well
     defined, and gives the images of G's pc generators; they are checked
-    against the relations of G's presentation, _extend builds the full map
-    from them by column walks, and it must send each of gens to its image.
-    The image has order |G| / |kernel|, so counting 0 in the full map
-    decides surjectivity; a map of G onto G is an automorphism.
+    against the relations of G's presentation, and the homomorphism they
+    define must send each of gens to its image.  The image is the subgroup
+    of H that they generate, sifted into its induced pc sequence, so
+    comparing its order with |H| decides surjectivity; a map of G onto G is
+    an automorphism.  No per-element map is built.
     """
     if len(gens) != len(images):
         raise ValueError("gens/images length mismatch")
@@ -471,12 +492,14 @@ def hom_from_images(G: PcGroup, H: PcGroup, gens: list[int], images: list[int]) 
     for name, lhs, tail in rels:
         if lhs != _eval_word(H, pc_imgs, tail):
             raise HomomorphismError(f"not well-defined: relation {name} violated")
-    fmap = _extend(H, pres.orders, pc_imgs)
-    if any(fmap[g] != h for g, h in zip(gens, images)):
+    hom = Homomorphism(G, H, is_automorphism=H is G, pc_images=pc_imgs)
+    if any(hom(g) != h for g, h in zip(gens, images)):
         raise HomomorphismError("not well-defined: a given element is not sent to its image")
-    if G.order != H.order * fmap.count(0):
+    image = Subgroup(H)
+    image.sift(pc_imgs)
+    if len(image) != H.order:
         raise HomomorphismError("not surjective: images do not generate the target")
-    return Homomorphism(G, H, tuple(fmap), H is G)
+    return hom
 
 
 # -- subgroup machinery ------------------------------------------------------
@@ -671,8 +694,9 @@ def quotient_pc_presentation(G: PcGroup, N: Subgroup, name: str) -> tuple[PcGrou
     has no element there).  The image of g_i has relative order e_i, and it
     is a generator of G/N when e_i > 1; the exponent of xN on it is x's
     residue at depth i (Subgroup.residues).  The tails are the factored g_i^(e_i) and
-    [g_j, g_i], and the projection extends the images of G's pc generators
-    one digit at a time (_extend).  No coset is enumerated.
+    [g_j, g_i], and the projection is held as the images of G's pc
+    generators (Homomorphism).  No coset is enumerated and no element of G
+    is mapped but G's marked generators.
     """
     pres, strides = G.presentation, G.strides
     kept = [(i, e) for i, (_, _, e) in enumerate(N.table) if e > 1]  # (i, relative order of g_i's image)
@@ -697,9 +721,9 @@ def quotient_pc_presentation(G: PcGroup, N: Subgroup, name: str) -> tuple[PcGrou
         tuple(word(G.pow(g, m)) for g, (_, m) in zip(gens, kept)),
         comm_tails,
     ))
-    fmap = _extend(Q, pres.orders, [Q.index_of(factor(s)) for s in strides])
-    Q.generators = sorted({fmap[g] for g in G.generators})
-    return Q, Homomorphism(G, Q, tuple(fmap))
+    proj = Homomorphism(G, Q, pc_images=[Q.index_of(factor(s)) for s in strides])
+    Q.generators = sorted({proj(g) for g in G.generators})
+    return Q, proj
 
 
 def _extend(H: PcGroup, orders: Iterable[int], images: Iterable[int], start: int = 0) -> list[int]:

@@ -6,6 +6,7 @@ from oracle import brute_classes, brute_is_generating, brute_search_classes, bru
 
 from bforge.beauville import (
     GenPair,
+    _find_conjugator,
     _generating_pairs,
     check_beauville,
     check_strongly_real,
@@ -15,6 +16,7 @@ from bforge.beauville import (
     paper_structure,
     quotient_strongly_real,
     recipe_congruence,
+    recipe_exponents,
     regular_beauville_criterion,
     sigma,
 )
@@ -283,6 +285,32 @@ def test_strongly_real_without_search_can_fail(g31):
     c1 = GenPair.make(G, G.conjugate(p1.x, h), G.conjugate(p1.y, h))
     cert = check_strongly_real(G, c1, p2, g31.theta, search_conjugators=False)
     assert cert.strongly_real is False or cert.conjugators == (0, 0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_case_i(5, 1), lambda: build_case_ii(1), lambda: build_case_iii(2),
+    lambda: build_negative(1), lambda: build_abelian(5),
+], ids=["case-i-5-1", "case-ii-1", "case-iii-2", "negative-1", "c5c5"])
+def test_conjugator_search_evaluates_theta_once_per_element(build):
+    # the least conjugator of the paper pairs and of their conjugates, as the
+    # scan found it when it evaluated theta(x) and theta(y) for every g; now
+    # theta is called once for x and once for y
+    pg = build()
+    G, table = pg.group, pg.theta.full_map
+    pairs = [(pg.x, pg.y)]
+    if pg.family != "abelian":
+        pairs += [(p.x, p.y) for p in paper_structure(pg, *recipe_exponents(pg.p, None, None))]
+    hs = random.Random(5).sample(range(G.order), 6)
+    pairs += [(G.conjugate(x, h), G.conjugate(y, h)) for x, y in pairs[:2] for h in hs]
+    found = []
+    for x, y in pairs:
+        calls = []
+        g = _find_conjugator(G, lambda a: calls.append(a) or pg.theta(a), x, y, G.order)
+        least = next((c for c in range(G.order)
+                      if all(G.mul(G.mul(c, table[a]), G.inv(c)) == G.inv(a) for a in (x, y))), None)
+        assert g == least and calls == [x, y]
+        found.append(g)
+    assert any(found) == (pg.family != "abelian")  # some conjugated pair needs g != 1
 
 
 # -- recipes ---------------------------------------------------------------------------

@@ -373,6 +373,33 @@ def test_series_and_search_read_no_subgroup_mask(workdir, capsys, monkeypatch):
     assert G.trivial_set().mask == 1 and reads == [1]  # the patched property does count
 
 
+def test_series_and_search_build_no_map_of_theta_or_projections(workdir, capsys, monkeypatch):
+    # a homomorphism is its pc-generator images, and its full map is built
+    # on first read: the one each group here builds is its Frattini
+    # projection G -> G/Phi(G), order 9 or 4, whose lines frattini_lines
+    # reads for every element; series builds none for theta or for the
+    # projections onto its quotients, and search --mode find none at all
+    # besides.  The control, find-strongly-real, builds theta's for its
+    # sweep over every element
+    from bforge.groups import Homomorphism
+
+    builds = []
+    build = Homomorphism.full_map.fget
+    monkeypatch.setattr(Homomorphism, "full_map", property(
+        lambda h: (h._map is None and builds.append((h.source.order, h.target.order))) or build(h)))
+    run(capsys, "nq", "--p", "3", "--k", "1", "--class", "4", "--out", "tq314.pcp")
+    builds.clear()
+    assert run(capsys, "series", "--group", "tq314.pcp")[0] == 0
+    assert builds == [(2187, 9), (27, 9), (81, 9), (243, 9), (729, 9)]
+    run(capsys, "nq", "--p", "2", "--k", "2", "--class", "4", "--out", "tq224.pcp")
+    builds.clear()
+    assert run(capsys, "search", "--group", "tq224.pcp", "--mode", "find")[0] == 0
+    assert builds == [(1024, 4)]
+    builds.clear()
+    assert run(capsys, "search", "--group", "tq224.pcp", "--mode", "find-strongly-real")[0] == 0
+    assert builds == [(1024, 1024), (1024, 4)]
+
+
 def test_series_fills_only_the_missing_recipe_exponent(workdir, capsys):
     # --n1 2 alone takes n2 from the recipe (2 at p = 3): the pair {w, w}
     # that no quotient carries, not the default recipe pair

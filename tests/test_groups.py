@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import (
+    bfs_hom,
     brute_class,
     brute_classes,
     brute_closure,
@@ -652,8 +653,9 @@ def test_quotient_matches_coset_oracle(name):
     assert bool(moved) == (name in ("case-i-5-2", "c6c6"))
 
 
-def _tower_quotients(tp):
-    # G/N for every distinct term N of the refinement series, weight 2 up
+def _tower(tp):
+    # the class-4 triangle quotient and G/N for every distinct term N of its
+    # refinement series, weight 2 up
     pg = paper_group_from_nq(triangle_quotient(tp, 4), tp)
     G, masks, out = pg.group, set(), []
     for i in range(2, len(lower_central_series(G).terms)):
@@ -661,7 +663,11 @@ def _tower_quotients(tp):
             if term.mask not in masks:
                 masks.add(term.mask)
                 out.append(quotient_group(G, term))
-    return out
+    return pg, out
+
+
+def _tower_quotients(tp):
+    return _tower(tp)[1]
 
 
 def _frattini_quotients():
@@ -804,3 +810,93 @@ def test_induced_automorphism_on_quotient(g31):
     for _ in range(1000):
         a, b = rng.randrange(Q.order), rng.randrange(Q.order)
         assert thq(Q.mul(a, b)) == Q.mul(thq(a), thq(b))
+
+
+# -- homomorphisms held as pc images ------------------------------------------
+
+
+def _assert_pc_images_agree(h):
+    # h(a) evaluated from the pc images for every a, before any table
+    # exists, against the table built on first read and against the
+    # breadth-first map from the images of the source's marked generators
+    G, H = h.source, h.target
+    fresh = Homomorphism(G, H, is_automorphism=h.is_automorphism, pc_images=h.pc_images)
+    evaluated = tuple(fresh(a) for a in range(G.order))
+    assert evaluated == tuple(fresh.full_map) == tuple(h.full_map)
+    gens = G.generators
+    assert bfs_hom(G, H, gens, [evaluated[g] for g in gens]) == (evaluated, h.is_automorphism)
+
+
+_TOWERS = [TriangleParams(3, 1), TriangleParams(2, 2)]
+
+
+@pytest.mark.parametrize("tp, orders", [
+    (TriangleParams(3, 1), [9, 27, 81, 243, 729, 2187]),
+    (TriangleParams(2, 2), [16, 32, 64, 128, 256, 512, 1024]),
+], ids=["tower-3-1-c4", "tower-2-2-c4"])
+def test_tower_projections_from_pc_images(tp, orders):
+    quotients = _tower_quotients(tp)
+    assert [Q.order for Q, _ in quotients] == orders  # the last is G itself, by the identity's range
+    for _, proj in quotients:
+        _assert_pc_images_agree(proj)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_case_i(5, 1), lambda: build_case_i(5, 2), lambda: build_case_ii(1),
+    lambda: build_case_iii(2), lambda: build_negative(1), lambda: build_abelian(12),
+    lambda: paper_group_from_nq(triangle_quotient(TriangleParams(3, 1), 4), TriangleParams(3, 1)),
+], ids=["case-i-5-1", "case-i-5-2", "case-ii-1", "case-iii-2", "negative-1", "abelian-12", "tq-3-1-c4"])
+def test_family_theta_from_pc_images(build):
+    theta = build().theta
+    assert theta.is_automorphism
+    _assert_pc_images_agree(theta)
+
+
+@pytest.mark.parametrize("tp", _TOWERS, ids=["tower-3-1-c4", "tower-2-2-c4"])
+def test_induced_automorphisms_from_pc_images(tp, monkeypatch):
+    # the automorphisms quotient_strongly_real induces on every tower quotient
+    import bforge.beauville as beauville
+
+    induced = []
+    induce = beauville.induced_automorphism
+    monkeypatch.setattr(beauville, "induced_automorphism", lambda *a: induced.append(induce(*a)) or induced[-1])
+    pg, quotients = _tower(tp)
+    pairs = beauville.paper_structure(pg, *beauville.recipe_exponents(tp.p, None, None))
+    for _, proj in quotients:
+        beauville.quotient_strongly_real(proj, pg.theta, *pairs, 10**6)
+    assert len(induced) == len(quotients)
+    for thq in induced:
+        assert thq.is_automorphism
+        _assert_pc_images_agree(thq)
+
+
+def test_criterion_2_isomorphisms_from_pc_images(monkeypatch):
+    import bforge.reproduce as reproduce
+
+    isos = []
+    build = reproduce.hom_from_images
+    monkeypatch.setattr(reproduce, "hom_from_images", lambda *a: isos.append(build(*a)) or isos[-1])
+    assert reproduce.criterion_2(reproduce.GroupCache()).ok
+    assert len(isos) == len(reproduce._NQ_MATCHES)
+    for iso in isos:
+        assert not iso.is_automorphism and len(set(iso.full_map)) == iso.source.order
+        _assert_pc_images_agree(iso)
+
+
+def test_injective_map_into_a_larger_group_is_not_surjective(c5c5):
+    # C_5 -> C_5 x C_5 has a trivial kernel and misses 20 elements
+    C5 = PcGroup(make_presentation("c5", ["c"], [5]))
+    with pytest.raises(HomomorphismError, match="not surjective"):
+        hom_from_images(C5, c5c5.group, [C5.gen_index(0)], [c5c5.x])
+    with pytest.raises(HomomorphismError, match="not surjective"):
+        bfs_hom(C5, c5c5.group, [C5.gen_index(0)], [c5c5.x])
+
+
+def test_hom_from_images_builds_no_table(g31):
+    # theta is its pc images until its full map is read
+    G = g31.group
+    h = hom_from_images(G, G, [g31.x, g31.y], [G.inv(g31.x), G.inv(g31.y)])
+    assert h.pc_images == g31.theta.pc_images
+    assert h._map is None
+    assert h(g31.named["z"]) == g31.theta(g31.named["z"]) and h._map is None
+    assert h.full_map is h.full_map and h._map is not None
