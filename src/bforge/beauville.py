@@ -373,17 +373,18 @@ def quotient_strongly_real(
     pair1: GenPair,
     pair2: GenPair,
     sigma_cap: int,
-) -> tuple[bool, bool]:
-    """(Beauville, strongly real) for the images of two pairs of G in the
-    quotient Q = proj.target, under the automorphism theta of G induced on
-    Q.  Full sigma sets decide it when |Q| <= sigma_cap; above that the
-    lift path certifies it, and False there means not certified."""
+) -> tuple[bool, bool, bool]:
+    """(Beauville, strongly real, lift) for the images of two pairs of G in
+    the quotient Q = proj.target, under the automorphism theta of G induced
+    on Q.  Full sigma sets decide it when |Q| <= sigma_cap; above that the
+    lift path certifies it, lift is True, and False there means not
+    certified."""
     Q = proj.target
     theta_q = induced_automorphism(proj, theta)
     q1 = GenPair.make(Q, proj(pair1.x), proj(pair1.y))
     q2 = GenPair.make(Q, proj(pair2.x), proj(pair2.y))
     if Q.order <= sigma_cap:
         cert = check_strongly_real(Q, q1, q2, theta_q)
-        return cert.beauville, bool(cert.strongly_real)
+        return cert.beauville, bool(cert.strongly_real), False
     ok, rep = check_strongly_real_via_base(Q, q1, q2, theta_q)
-    return rep.verdict, ok
+    return rep.verdict, ok, True

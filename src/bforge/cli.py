@@ -151,8 +151,6 @@ def load_group(path: str, cap: int) -> LoadedGroup:
             [group.gen_index(i) for i in range(n)],
             [group.element_of_word(pf.theta[nm]) for nm in pf.presentation.names],
         )
-        if not theta.is_automorphism:
-            raise ValueError(f"{path}: theta stanza is not an automorphism")
     p = pf.params.get("p", group.prime or 0)
     pg = _finish(pf.family or "file", p, pf.params.get("k"), pf.params.get("n"), group, x, y, pc_names(group), theta)
     return LoadedGroup(pg, pf, Path(path), hashlib.sha256(data).hexdigest())
@@ -368,21 +366,21 @@ def cmd_series(args) -> int:
         except ValueError:
             pairs = None
     for i in range(lo, hi + 1):
-        series = refinement_series(pg, i)
-        for pos, term in enumerate(series.terms):
+        series = refinement_series(pg, i)  # raises unless every term is normal and theta-invariant
+        indices = [str(idx) for idx in series.indices] + [None]
+        for term, index in zip(series.terms, indices):
             entry = {
                 "weight": i,
                 "order": str(len(term)),
                 "generators": [G.element_name(g) for g in term.gens],
-                "normal": term.is_normal,
-                "theta_invariant": series.theta_invariant[pos],
-                "index_over_next": str(series.indices[pos]) if pos < len(series.indices) else None,
+                "normal": True,
+                "theta_invariant": True,
+                "index_over_next": index,
             }
             if pairs is not None:
                 if len(term) not in verdicts:  # gamma_(i+1) ends weight i and starts weight i+1
-                    Q, proj = quotient_group(G, term)
-                    beauville, strong = quotient_strongly_real(proj, pg.theta, *pairs, args.sigma_cap)
-                    lift = Q.order > args.sigma_cap  # above the cap False means not certified
+                    _, proj = quotient_group(G, term)
+                    beauville, strong, lift = quotient_strongly_real(proj, pg.theta, *pairs, args.sigma_cap)
                     verdict = "strongly real" if strong else "beauville only" if beauville else (
                         "not certified" if lift else "not beauville")
                     verdicts[len(term)] = {"quotient_strongly_real": strong, "quotient_verdict": verdict, "lift": lift}

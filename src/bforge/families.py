@@ -14,7 +14,6 @@ from .groups import (
     NormalSeries,
     PcGroup,
     Subgroup,
-    _series_indices,
     hom_from_images,
     is_normal,
     lower_central_series,
@@ -205,8 +204,9 @@ def refinement_series(pg: PaperGroup, i: int) -> NormalSeries:
     index p, adjoining the weight-i left-normed commutators through their
     p-power chains.
 
-    Terms are returned descending (gamma_i first).  Every term is verified
-    normal and theta-invariant with consecutive index exactly p.
+    Terms are returned descending (gamma_i first); past the class that is
+    the trivial term alone, with no commutator formed.  A term that is not
+    normal, or that pg.theta does not preserve, raises ValueError.
     """
     if i < 2:
         raise ValueError("refinement starts at gamma_2")
@@ -215,8 +215,9 @@ def refinement_series(pg: PaperGroup, i: int) -> NormalSeries:
     if p is None:
         raise ValueError(f"{G.name} is not a p-group: its series has no index-p refinement")
     lcs = lower_central_series(G)
-    top = lcs.terms[i - 1] if i - 1 < len(lcs.terms) else G.trivial_set()
-    bottom = lcs.terms[i] if i < len(lcs.terms) else G.trivial_set()
+    if i >= len(lcs.terms):  # gamma_i = gamma_(i+1) = 1
+        return NormalSeries(G, (G.trivial_set(),))
+    top, bottom = lcs.terms[i - 1], lcs.terms[i]
     terms = [bottom]
     closure = Subgroup(G, bottom.table[:], bottom.gens)  # the current term, grown along the chain
     for s in left_normed_commutators(G, pg.x, pg.y, i):
@@ -227,41 +228,30 @@ def refinement_series(pg: PaperGroup, i: int) -> NormalSeries:
             e += 1
         for j in range(e - 1, -1, -1):
             closure.add(G.pow(s, p**j))
-            terms.append(Subgroup(G, closure.table[:], closure.gens, is_normal(G, closure)))
+            terms.append(Subgroup(G, closure.table[:], closure.gens))
     if len(terms[-1]) != len(top):  # terms[-1] lies in top
         raise AssertionError("left-normed commutators failed to span the layer")
     terms.reverse()
-    flags = []
     for term in terms:
-        inv = all(pg.theta(h) in term for h in term.gens)
-        flags.append(inv)
-        if not term.is_normal:
-            raise AssertionError("refinement term is not normal")
-        if not inv:
-            raise AssertionError("refinement term is not theta-invariant")
-    indices = _series_indices(terms)
-    if any(idx != p for idx in indices):
-        raise AssertionError(f"refinement indices {indices} are not all {p}")
-    return NormalSeries(G, tuple(terms), indices, tuple(flags))
+        if not is_normal(G, term):
+            raise ValueError(f"weight {i}: the refinement term of order {len(term)} is not normal")
+        if any(pg.theta(h) not in term for h in term.gens):
+            raise ValueError(f"weight {i}: theta does not preserve the refinement term of order {len(term)}")
+    series = NormalSeries(G, tuple(terms))
+    if any(idx != p for idx in series.indices):
+        raise AssertionError(f"refinement indices {series.indices} are not all {p}")
+    return series
 
 
 def full_refined_series(pg: PaperGroup) -> NormalSeries:
     """Concatenate the refinements for i = 2..class: a normal series from
     gamma_2 down to 1 with all steps of index p, prefixed by the whole group."""
     G = pg.group
-    lcs = lower_central_series(G)
-    cls = len(lcs.terms) - 1
     terms: list[Subgroup] = [G.as_set()]
-    flags: list[Optional[bool]] = [True]
-    for i in range(2, cls + 1):
-        block = refinement_series(pg, i)
-        for term, flag in zip(block.terms, block.theta_invariant):
-            if len(terms[-1]) == len(term):  # the previous block's bottom, met again at the top
-                continue
-            terms.append(term)
-            flags.append(flag)
+    for i in range(2, G.nilpotency_class() + 1):
+        for term in refinement_series(pg, i).terms:
+            if len(terms[-1]) != len(term):  # not the previous block's bottom, met again at the top
+                terms.append(term)
     if len(terms) == 1 or len(terms[-1]) != 1:
         terms.append(G.trivial_set())
-        flags.append(True)
-    indices = _series_indices(terms)
-    return NormalSeries(G, tuple(terms), indices, tuple(flags))
+    return NormalSeries(G, tuple(terms))

@@ -3,9 +3,11 @@
 Every group is a PcGroup, quotients included.  Elements are dense indices
 0..|G|-1, the mixed-radix rank of the normal-form exponent vector
 (lexicographic order), so index 0 is the identity.  A subgroup is its
-induced pc sequence (Subgroup), and a homomorphism the images of the
-source's pc generators (Homomorphism); other subsets, such as conjugacy
-classes and kernels, are bitmasks over indices.
+induced pc sequence (Subgroup), a homomorphism the images of the source's
+pc generators (Homomorphism), and a series its terms (NormalSeries);
+normality, being an automorphism and a series' indices are decided from
+these where they are read, never stored.  Other subsets, such as
+conjugacy classes and kernels, are bitmasks over indices.
 
 Groups are single-threaded objects: their caches (inverses, element orders,
 conjugacy data, power classes, Frattini lines, ...) fill on first read.
@@ -269,10 +271,10 @@ class PcGroup:
         return self._exponent
 
     def as_set(self) -> Subgroup:
-        return Subgroup(self, [(s, 0, 1) for s in self.strides], tuple(self.generators), True)
+        return Subgroup(self, [(s, 0, 1) for s in self.strides], tuple(self.generators))
 
     def trivial_set(self) -> Subgroup:
-        return Subgroup(self, is_normal=True)
+        return Subgroup(self)
 
     # -- conjugacy -----------------------------------------------------------
 
@@ -324,12 +326,13 @@ class PcGroup:
         return len(lower_central_series(self).terms) - 1
 
     def mark_generators(self, gens: list[int]) -> None:
-        """Replace the marked generating set; sift_pairs verifies that it
-        still generates (orbit and series machinery silently depend on that)."""
-        try:
-            sift_pairs(self, self, gens, gens)
-        except HomomorphismError:
-            raise ValueError("marked elements do not generate the group") from None
+        """Replace the marked generating set once the subgroup the elements
+        sift into has order |G| (orbit and series machinery silently depend
+        on generation)."""
+        span = Subgroup(self)
+        span.sift(gens)
+        if len(span) != self.order:
+            raise ValueError("marked elements do not generate the group")
         self.generators = list(gens)
 
     def frattini_lines(self) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
@@ -364,22 +367,25 @@ FiniteGroup = PcGroup  # the public name of the one group class, kept for its ca
 
 
 class Homomorphism:
-    """A homomorphism of pc groups as pc_images, the images of the source's
-    pc generators, which determine it: h(a) is the product of
-    pc_images[i]^e_i over the nonzero digits e_i of a's normal word.
+    """A homomorphism of pc groups onto its target, as pc_images, the images
+    of the source's pc generators, which determine it: h(a) is the product
+    of pc_images[i]^e_i over the nonzero digits e_i of a's normal word.
+    Every one is onto (hom_from_images refuses any other, and projections
+    and the identity are onto), so it is an automorphism exactly when its
+    source is its target.
 
     full_map, the image of every index, is built from them by column walks
     (_extend) the first time it is read and cached, so h(a) is a lookup
     from then on; callers that map every element read it (frattini_lines,
-    kernel, criterion 2's isomorphisms, the find-strongly-real sweep,
-    criterion 9's random pairs), and callers that map a few call h(a).  A
-    map given as a table (the identity's range) is that cache, filled from
-    the start, and its pc_images are read from it.
+    kernel, the find-strongly-real sweep, criterion 9's random pairs), and
+    callers that map a few call h(a).  A map given as a table (the
+    identity's range) is that cache, filled from the start, and its
+    pc_images are read from it.
     """
 
     def __init__(self, source: PcGroup, target: PcGroup, full_map: Optional[Sequence[int]] = None,
-                 is_automorphism: bool = False, *, pc_images: Optional[Sequence[int]] = None):
-        self.source, self.target, self.is_automorphism = source, target, is_automorphism
+                 *, pc_images: Optional[Sequence[int]] = None):
+        self.source, self.target = source, target
         self._map = full_map
         self.pc_images = list(pc_images) if pc_images is not None else [full_map[s] for s in source.strides]
 
@@ -387,6 +393,10 @@ class Homomorphism:
         if self._map is not None:
             return self._map[a]
         return _eval_word(self.target, self.pc_images, self.source.word_of(a))
+
+    @property
+    def is_automorphism(self) -> bool:
+        return self.source is self.target
 
     @property
     def full_map(self) -> Sequence[int]:
@@ -492,7 +502,7 @@ def hom_from_images(G: PcGroup, H: PcGroup, gens: list[int], images: list[int]) 
     for name, lhs, tail in rels:
         if lhs != _eval_word(H, pc_imgs, tail):
             raise HomomorphismError(f"not well-defined: relation {name} violated")
-    hom = Homomorphism(G, H, is_automorphism=H is G, pc_images=pc_imgs)
+    hom = Homomorphism(G, H, pc_images=pc_imgs)
     if any(hom(g) != h for g, h in zip(gens, images)):
         raise HomomorphismError("not well-defined: a given element is not sent to its image")
     image = Subgroup(H)
@@ -507,8 +517,8 @@ def hom_from_images(G: PcGroup, H: PcGroup, gens: list[int], images: list[int]) 
 
 class Subgroup:
     """A subgroup of G as its induced pc sequence (a _sift_into table without
-    images), the seeds it kept, which generate it, and whether it is known
-    to be normal.
+    images) and the seeds it kept, which generate it; is_normal(G, H)
+    decides normality where it is needed.
 
     add(s) sifts s in and keeps it when the table changed, that is when s
     was not a member.  len(H) is the product of the m_d/e_d; x in H and the
@@ -517,9 +527,8 @@ class Subgroup:
     group: it is built on first read and cached until the next sift.
     """
 
-    def __init__(self, G: PcGroup, table: Optional[list[tuple[int, int, int]]] = None,
-                 gens: tuple[int, ...] = (), is_normal: bool = False):
-        self.group, self.gens, self.is_normal = G, gens, is_normal
+    def __init__(self, G: PcGroup, table: Optional[list[tuple[int, int, int]]] = None, gens: tuple[int, ...] = ()):
+        self.group, self.gens = G, gens
         self.table = [(0, 0, m) for m in G.presentation.orders] if table is None else table
         self._mask: Optional[int] = None
 
@@ -585,7 +594,7 @@ def subgroup_closure(G: PcGroup, seeds: Iterable[int]) -> Subgroup:
 
 def normal_closure(G: PcGroup, seeds: Iterable[int]) -> Subgroup:
     """Smallest normal subgroup containing the seeds."""
-    cl = Subgroup(G, is_normal=True)
+    cl = Subgroup(G)
     pending = [s for s in seeds]
     while pending:
         s = pending.pop()
@@ -609,19 +618,18 @@ def conjugacy_class(G: PcGroup, a: int) -> int:
 
 @dataclass(frozen=True)
 class NormalSeries:
-    """Descending series of normal subgroups with per-step annotations."""
+    """Descending series of normal subgroups of group."""
 
     group: PcGroup
     terms: tuple[Subgroup, ...]
-    indices: tuple[int, ...]
-    theta_invariant: tuple[Optional[bool], ...] = ()
 
     def orders(self) -> tuple[int, ...]:
         return tuple(len(t) for t in self.terms)
 
-
-def _series_indices(terms: list[Subgroup]) -> tuple[int, ...]:
-    return tuple(len(a) // len(b) for a, b in zip(terms, terms[1:]))
+    @property
+    def indices(self) -> tuple[int, ...]:
+        """The index of each term over the next."""
+        return tuple(len(a) // len(b) for a, b in zip(self.terms, self.terms[1:]))
 
 
 def lower_central_series(G: PcGroup) -> NormalSeries:
@@ -637,7 +645,7 @@ def lower_central_series(G: PcGroup) -> NormalSeries:
         if len(N) == len(H):
             raise ValueError(f"{G.name}: lower central series does not reach 1")
         terms.append(N)
-    series = NormalSeries(G, tuple(terms), _series_indices(terms), (None,) * len(terms))
+    series = NormalSeries(G, tuple(terms))
     G._lcs = series
     return series
 
@@ -652,7 +660,6 @@ def frattini(G: PcGroup) -> Subgroup:
     gamma2 = lcs.terms[1] if len(lcs.terms) > 1 else G.trivial_set()
     seeds = list(gamma2.gens) + [G.pow(g, prod(p for p, _ in G._p_parts)) for g in G.generators]
     G._frattini = subgroup_closure(G, seeds)
-    G._frattini.is_normal = True
     return G._frattini
 
 
@@ -663,9 +670,7 @@ def agemo(G: PcGroup, i: int) -> Subgroup:
     if i <= 0:
         return G.as_set()
     e = G.prime**i
-    sub = subgroup_closure(G, dict.fromkeys(G.pow(g, e) for g in range(G.order)))  # each power once, in order
-    sub.is_normal = True
-    return sub
+    return subgroup_closure(G, dict.fromkeys(G.pow(g, e) for g in range(G.order)))  # each power once, in order
 
 
 # -- quotients on their induced pc presentations -------------------------------
@@ -681,7 +686,7 @@ def quotient_group(G: PcGroup, N: Subgroup, name: Optional[str] = None) -> tuple
     if not is_normal(G, N):
         raise ValueError("N is not normal")
     if len(N) == 1:
-        return G, Homomorphism(G, G, range(G.order), True)
+        return G, Homomorphism(G, G, range(G.order))
     return quotient_pc_presentation(G, N, name or f"{G.name}/N{len(N)}")
 
 

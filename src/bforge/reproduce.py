@@ -16,7 +16,9 @@ from .beauville import (
     is_generating_pair,
     paper_structure,
     quotient_strongly_real,
+    recipe_exponents,
 )
+from .errors import HomomorphismError
 from .families import (
     PaperGroup,
     build_abelian,
@@ -131,9 +133,12 @@ def criterion_2(cache: GroupCache) -> CriterionResult:
         tri_nq = tuple(nq_group.element_order(g) for g in (a, b, nq_group.mul(a, b)))
         tri_pg = tuple(pg.group.element_order(g) for g in (pg.x, pg.y, pg.xy()))
         iso_ok = False
-        if same_order:
-            iso = hom_from_images(nq_group, pg.group, [a, b], [pg.x, pg.y])
-            iso_ok = len(set(iso.full_map)) == nq_group.order
+        if same_order:  # a homomorphism onto a group of equal order is an isomorphism
+            try:
+                hom_from_images(nq_group, pg.group, [a, b], [pg.x, pg.y])
+                iso_ok = True
+            except HomomorphismError:
+                pass
         ok = _check(
             details,
             ok,
@@ -183,8 +188,7 @@ def criterion_4(cache: GroupCache) -> CriterionResult:
     }
     for key, sig in expected.items():
         pg = cache.get(key)
-        n2 = 3 if pg.p > 3 else 2
-        p1, _ = paper_structure(pg, 1, n2)
+        p1, _ = paper_structure(pg, *recipe_exponents(pg.p, 1, None))
         ok = _check(details, ok, p1.signature == sig, f"{pg.group.name}: signature {p1.signature}")
     return CriterionResult(4, "signatures", ok, time.perf_counter() - t0, 5, details)
 
@@ -221,7 +225,7 @@ def criterion_5(cache: GroupCache) -> CriterionResult:
 
 def criterion_6(cache: GroupCache) -> CriterionResult:
     """Refinement series: normal, theta-invariant, every index exactly p
-    (refinement_series raises AssertionError otherwise)."""
+    (refinement_series raises ValueError or AssertionError otherwise)."""
     t0 = time.perf_counter()
     details: list[str] = []
     ok = True
@@ -231,7 +235,7 @@ def criterion_6(cache: GroupCache) -> CriterionResult:
         for i in weights:
             try:
                 series = refinement_series(pg, i)
-            except AssertionError as exc:
+            except (AssertionError, ValueError) as exc:
                 ok = _check(details, ok, False, f"{pg.group.name} weight {i}: {exc}")
                 continue
             msg = f"{pg.group.name} weight {i}: orders {series.orders()}, indices {series.indices}"
@@ -258,8 +262,8 @@ def criterion_7(cache: GroupCache) -> CriterionResult:
         series = refinement_series(pg, 4)
         for term in series.terms:
             Q, proj = quotient_group(pg.group, term)
-            _, good = quotient_strongly_real(proj, pg.theta, *pairs, sigma_cap)
-            how = "full sigma" if Q.order <= sigma_cap else "lift"
+            _, good, lift = quotient_strongly_real(proj, pg.theta, *pairs, sigma_cap)
+            how = "lift" if lift else "full sigma"
             ok = _check(details, ok, good, f"p={p} k={k} |T/N|={Q.order}: strongly real ({how})")
     return CriterionResult(7, "class-4 quotient tower", ok, time.perf_counter() - t0, 900, details)
 

@@ -679,7 +679,7 @@ def test_strongly_real_via_base_matches_full():
 def test_quotient_strongly_real_lift_agrees_with_full(p, k, cls, count):
     # every refinement quotient of the tower gets the same (Beauville,
     # strongly real) verdict from the lift path (sigma_cap=0) as from the
-    # full sigma sets
+    # full sigma sets, and each reports which path decided it
     tp = TriangleParams(p, k)
     pg = paper_group_from_nq(triangle_quotient(tp, cls), tp)
     G = pg.group
@@ -689,9 +689,10 @@ def test_quotient_strongly_real_lift_agrees_with_full(p, k, cls, count):
     for w in range(2, G.nilpotency_class() + 1):
         for term in refinement_series(pg, w).terms:
             _, proj = quotient_group(G, term)
-            lift = quotient_strongly_real(proj, pg.theta, *pairs, 0)
-            assert lift == quotient_strongly_real(proj, pg.theta, *pairs, 10**4)
-            verdicts.append(lift)
+            *lift, by_lift = quotient_strongly_real(proj, pg.theta, *pairs, 0)
+            *full, by_full = quotient_strongly_real(proj, pg.theta, *pairs, 10**4)
+            assert lift == full and by_lift and not by_full
+            verdicts.append(tuple(lift))
     assert len(verdicts) == count
     assert (True, True) in verdicts  # the lift path certifies some quotients
 

@@ -449,6 +449,40 @@ def test_series_from_above_class_exit_2(workdir, capsys, family, args, weights, 
     assert captured.err == f"error: {message}; give --to for trivial terms\n"
 
 
+def test_series_theta_not_preserving_a_term_exit_2(workdir, capsys):
+    # the automorphism swapping a and b keeps every lower central term but
+    # not the weight-3 refinement term <[b, a, a]> gamma_4
+    import dataclasses
+
+    from bforge.cli import load_group, serialize_paper_group
+    from bforge.groups import hom_from_images
+
+    run(capsys, "nq", "--p", "3", "--k", "1", "--class", "4", "--out", "t.pcp")
+    pg = load_group("t.pcp", 10**6).pg
+    swap = hom_from_images(pg.group, pg.group, [pg.x, pg.y], [pg.y, pg.x])
+    (workdir / "swap.pcp").write_text(serialize_paper_group(dataclasses.replace(pg, theta=swap)))
+    assert main(["series", "--group", "swap.pcp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err == "error: weight 3: theta does not preserve the refinement term of order 27\n"
+
+
+def test_series_past_the_class_forms_no_commutators(workdir, capsys, monkeypatch):
+    # weights above the class give the trivial term at once: the class-2
+    # group forms its weight-2 commutators and none of the 2^28 of weight 30
+    import bforge.families as families
+
+    weights = []
+    form = families.left_normed_commutators
+    monkeypatch.setattr(families, "left_normed_commutators", lambda G, x, y, w: weights.append(w) or form(G, x, y, w))
+    run(capsys, "construct", "--family", "case-i", "--p", "5", "--k", "1")
+    code, rep = run(capsys, "series", "--group", "case_i_5_1.pcp", "--to", "30")
+    assert code == 0 and weights == [2]
+    past = [t for t in rep["terms"] if t["weight"] > 2]
+    assert [t["weight"] for t in past] == list(range(3, 31))
+    assert all((t["order"], t["generators"], t["index_over_next"]) == ("1", [], None) for t in past)
+
+
 _H3C2 = """pcgroup h3c2
 gen x order 3
 gen y order 3

@@ -35,6 +35,7 @@ from bforge.families import (
 from bforge.groups import (
     BYTES_PER_ELEMENT,
     Homomorphism,
+    NormalSeries,
     PcGroup,
     Subgroup,
     _extend,
@@ -44,6 +45,7 @@ from bforge.groups import (
     frattini,
     hom_from_images,
     induced_automorphism,
+    is_normal,
     lower_central_series,
     mem_available,
     normal_closure,
@@ -418,7 +420,7 @@ def test_normal_closure_xy_cubed(g31):
 def test_normal_closure_z_in_g51(g51):
     n = normal_closure(g51.group, [g51.named["z"]])
     assert len(n) == 5
-    assert n.is_normal
+    assert is_normal(g51.group, n)
 
 
 # -- series and characteristic subgroups ---------------------------------------
@@ -531,8 +533,31 @@ def test_trivial_quotient_projection_holds_no_table(g31):
     assert Q is G and proj.is_automorphism
     assert isinstance(proj.full_map, range)
     assert [proj.full_map[a] for a in range(G.order)] == [proj(a) for a in range(G.order)] == list(range(G.order))
-    tabled = Homomorphism(G, G, tuple(range(G.order)), True)  # the map as a table
+    tabled = Homomorphism(G, G, tuple(range(G.order)))  # the map as a table
     assert proj.kernel() == tabled.kernel() == 1
+
+
+def test_facts_are_derived_not_stored(g51, c5c5):
+    # normality, being an automorphism and a series' indices are read from
+    # the objects themselves: no constructor takes them, and none is settable
+    G = g51.group
+    for make in (
+        lambda: Subgroup(G, is_normal=True),
+        lambda: Homomorphism(G, G, range(G.order), True),
+        lambda: Homomorphism(G, G, range(G.order), is_automorphism=True),
+        lambda: NormalSeries(G, (G.as_set(),), (125,)),
+        lambda: NormalSeries(G, (G.as_set(),), theta_invariant=(True,)),
+    ):
+        with pytest.raises(TypeError):
+            make()
+    assert not hasattr(G.trivial_set(), "is_normal")
+    assert g51.theta.is_automorphism
+    assert not hom_from_images(G, c5c5.group, [g51.x, g51.y], [c5c5.x, c5c5.y]).is_automorphism
+    with pytest.raises(AttributeError):
+        g51.theta.is_automorphism = False
+    lcs = lower_central_series(G)
+    assert lcs.indices == (25, 5)
+    assert NormalSeries(G, lcs.terms[1:]).indices == (5,)
 
 
 def test_quotient_negative_order(g31):
@@ -820,7 +845,7 @@ def _assert_pc_images_agree(h):
     # exists, against the table built on first read and against the
     # breadth-first map from the images of the source's marked generators
     G, H = h.source, h.target
-    fresh = Homomorphism(G, H, is_automorphism=h.is_automorphism, pc_images=h.pc_images)
+    fresh = Homomorphism(G, H, pc_images=h.pc_images)
     evaluated = tuple(fresh(a) for a in range(G.order))
     assert evaluated == tuple(fresh.full_map) == tuple(h.full_map)
     gens = G.generators
@@ -881,6 +906,20 @@ def test_criterion_2_isomorphisms_from_pc_images(monkeypatch):
     for iso in isos:
         assert not iso.is_automorphism and len(set(iso.full_map)) == iso.source.order
         _assert_pc_images_agree(iso)
+
+
+def test_criterion_2_reports_a_failed_isomorphism(monkeypatch):
+    # a map that hom_from_images refuses is a FAIL line, not an exception
+    import bforge.reproduce as reproduce
+
+    def refuse(*args):
+        raise HomomorphismError("not well-defined: relation x^5 violated")
+
+    monkeypatch.setattr(reproduce, "hom_from_images", refuse)
+    result = reproduce.criterion_2(reproduce.GroupCache())
+    assert not result.ok
+    failed = [d for d in result.details if d.startswith("FAIL ") and d.endswith("iso False")]
+    assert len(failed) == len(reproduce._NQ_MATCHES)
 
 
 def test_injective_map_into_a_larger_group_is_not_surjective(c5c5):
