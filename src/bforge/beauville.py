@@ -42,7 +42,7 @@ class GenPair:
         return (self.x, self.y, self.xy)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BeauvilleCertificate:
     pair1: GenPair
     pair2: GenPair
@@ -100,26 +100,25 @@ def check_strongly_real(
     theta: Homomorphism,
     search_conjugators: bool = False,
 ) -> BeauvilleCertificate:
-    """Verify a strongly real Beauville structure: Beauville, plus
-    g_i theta(x_i) g_i^-1 = x_i^-1 and likewise for y_i.  Conjugators are
-    tried as g_1 = g_2 = 1 first, then searched by element index."""
-    cert = check_beauville(G, pair1, pair2)
+    """Verify a strongly real Beauville structure: Beauville by sigma sets,
+    then the inversion step with conjugators tried as g_1 = g_2 = 1, or
+    searched by element index with search_conjugators."""
+    return _invert(G, check_beauville(G, pair1, pair2), theta, G.order if search_conjugators else 1)
+
+
+def _invert(G: PcGroup, cert: BeauvilleCertificate, theta: Homomorphism, limit: int) -> BeauvilleCertificate:
+    """cert with strongly_real decided: Beauville, and for each pair some
+    g < limit with g theta(x) g^-1 = x^-1 and likewise for y.  Stops at the
+    first pair that has no such conjugator."""
     if not cert.beauville:
-        cert.strongly_real = False
-        return cert
-    limit = G.order if search_conjugators else 1
+        return replace(cert, strongly_real=False)
     conjugators = []
-    for pair in (pair1, pair2):
+    for pair in (cert.pair1, cert.pair2):
         found = _find_conjugator(G, theta, pair.x, pair.y, limit)
         if found is None:
-            cert.strongly_real = False
-            cert.diagnostics = cert.diagnostics + ("no conjugator inverts the pair",)
-            return cert
+            return replace(cert, strongly_real=False, diagnostics=cert.diagnostics + ("no conjugator inverts the pair",))
         conjugators.append(found)
-    cert.strongly_real = True
-    cert.automorphism = theta
-    cert.conjugators = (conjugators[0], conjugators[1])
-    return cert
+    return replace(cert, strongly_real=True, automorphism=theta, conjugators=tuple(conjugators))
 
 
 def recipe_congruence(p: int) -> tuple[int, tuple[int, int]]:
@@ -192,7 +191,12 @@ class SearchResult:
     found: Optional[BeauvilleCertificate]
     generating_pairs: int
     distinct_sigma_sets: int
-    sigma_pairs_checked: int
+
+    @property
+    def sigma_pairs_checked(self) -> int:
+        """The pairs of sigma classes the scan covers, D(D-1)/2."""
+        D = self.distinct_sigma_sets
+        return D * (D - 1) // 2
 
 
 def search_cap(mode: str, cap: Optional[int]) -> int:
@@ -250,27 +254,25 @@ def exhaustive_search(
     limit = search_cap(mode, cap)
     if G.order > limit:
         raise CapExceeded(f"order {G.order} exceeds search cap {limit}")
-    if mode == "find-strongly-real" and theta is None:
+    strong = mode == "find-strongly-real"
+    if strong and theta is None:
         raise ValueError("find-strongly-real requires theta")
     classes: dict[frozenset, tuple[int, int]] = {}
+    inverted: dict[frozenset, tuple[int, int, int]] = {}
     total = 0
-    if mode == "find-strongly-real":
-        inverted: dict[frozenset, tuple[int, int, int]] = {}
-        # g theta(a) g^-1 = a^-1 needs theta(a) conjugate to a^-1
+    if strong:  # g theta(a) g^-1 = a^-1 needs theta(a) conjugate to a^-1
         _, class_id, _ = G.conjugacy_data()
         flips = [class_id[t] == class_id[G.inv(a)] for a, t in enumerate(theta.full_map)]
-        for x, y, key, weight in _generating_pairs(G):
-            total += weight
-            classes.setdefault(key, (x, y))
-            if flips[x] and flips[y] and key not in inverted:
-                g = _find_conjugator(G, theta, x, y, G.order)
-                if g is not None:
-                    inverted[key] = (x, y, g)
+    for x, y, key, weight in _generating_pairs(G):
+        total += weight
+        classes.setdefault(key, (x, y))
+        if strong and flips[x] and flips[y] and key not in inverted:
+            g = _find_conjugator(G, theta, x, y, G.order)
+            if g is not None:
+                inverted[key] = (x, y, g)
+    if strong:
         reps = [inverted[k] for k in classes if k in inverted]
     else:
-        for x, y, key, weight in _generating_pairs(G):
-            total += weight
-            classes.setdefault(key, (x, y))
         reps = [(x, y, None) for x, y in classes.values()]
     found: Optional[BeauvilleCertificate] = None
     hit = _first_disjoint_pair([sigma(G, x, y) for x, y, _ in reps])
@@ -281,8 +283,7 @@ def exhaustive_search(
             raise AssertionError("sigma-class scan disagrees with direct verification")
         if g1 is not None:
             found = replace(found, strongly_real=True, automorphism=theta, conjugators=(g1, g2))
-    D = len(classes)
-    return SearchResult(found, total, D, D * (D - 1) // 2)
+    return SearchResult(found, total, len(classes))
 
 
 def _first_disjoint_pair(masks: list[int]) -> Optional[tuple[int, int]]:
@@ -314,7 +315,6 @@ class LiftReport:
     verdict: bool
     quotient_beauville: bool
     order_condition: bool
-    quotient_cert: Optional[BeauvilleCertificate]
     direct_check: Optional[bool]
 
 
@@ -323,20 +323,16 @@ def check_strongly_real_via_base(
     pair1: GenPair,
     pair2: GenPair,
     theta: Homomorphism,
-) -> tuple[bool, "LiftReport"]:
-    """Strongly-real certification for quotients too large for sigma sets:
-    project Q onto the base quotient Q/gamma_w (w = 3 for p > 3, else 4),
-    verify the structure there in full, require the first-triple orders to
-    survive the projection (the lifting lemma then certifies Q), and check
-    the inversion conditions directly in Q with trivial conjugators."""
+) -> BeauvilleCertificate:
+    """Verify a strongly real Beauville structure of a quotient too large for
+    sigma sets: Beauville by the lifting lemma from the base quotient
+    Q/gamma_w (w = 3 for p > 3, else 4), where the structure is verified in
+    full and the first-triple orders must survive the projection; then the
+    inversion step of check_strongly_real with trivial conjugators."""
     base_weight = 3 if Q.prime > 3 else 4
     lcs = lower_central_series(Q)
-    idx = min(base_weight - 1, len(lcs.terms) - 1)
-    Q2, proj2 = quotient_group(Q, lcs.terms[idx])
-    rep = lift_check(proj2, pair1, pair2)
-    inverted = all(_find_conjugator(Q, theta, pair.x, pair.y, 1) == 0 for pair in (pair1, pair2))
-    ok = bool(pair1.generating and pair2.generating and rep.verdict and inverted)
-    return ok, rep
+    _, proj = quotient_group(Q, lcs.terms[min(base_weight - 1, len(lcs.terms) - 1)])
+    return _invert(Q, BeauvilleCertificate(pair1, pair2, lift_check(proj, pair1, pair2).verdict), theta, 1)
 
 
 def lift_check(
@@ -353,18 +349,18 @@ def lift_check(
     G, Q = proj.source, proj.target
     q1 = GenPair.make(Q, proj(pair1.x), proj(pair1.y))
     q2 = GenPair.make(Q, proj(pair2.x), proj(pair2.y))
-    qcert = check_beauville(Q, q1, q2)
+    quotient_beauville = check_beauville(Q, q1, q2).beauville
     order_ok = all(
         G.element_order(g) == Q.element_order(proj(g)) for g in pair1.triple()
     )
     # both pairs must generate the source itself, not just the quotient
-    verdict = pair1.generating and pair2.generating and qcert.beauville and order_ok
+    verdict = pair1.generating and pair2.generating and quotient_beauville and order_ok
     direct = None
     if G.order <= 10**4:
         direct = check_beauville(G, pair1, pair2).beauville
         if verdict and not direct:
             raise AssertionError("lift lemma certified a non-structure")
-    return LiftReport(verdict, qcert.beauville, order_ok, qcert, direct)
+    return LiftReport(verdict, quotient_beauville, order_ok, direct)
 
 
 def quotient_strongly_real(
@@ -383,8 +379,7 @@ def quotient_strongly_real(
     theta_q = induced_automorphism(proj, theta)
     q1 = GenPair.make(Q, proj(pair1.x), proj(pair1.y))
     q2 = GenPair.make(Q, proj(pair2.x), proj(pair2.y))
-    if Q.order <= sigma_cap:
-        cert = check_strongly_real(Q, q1, q2, theta_q)
-        return cert.beauville, bool(cert.strongly_real), False
-    ok, rep = check_strongly_real_via_base(Q, q1, q2, theta_q)
-    return rep.verdict, ok, True
+    lift = Q.order > sigma_cap
+    check = check_strongly_real_via_base if lift else check_strongly_real
+    cert = check(Q, q1, q2, theta_q)
+    return cert.beauville, cert.strongly_real, lift

@@ -373,8 +373,6 @@ def cmd_series(args) -> int:
                 "weight": i,
                 "order": str(len(term)),
                 "generators": [G.element_name(g) for g in term.gens],
-                "normal": True,
-                "theta_invariant": True,
                 "index_over_next": index,
             }
             if pairs is not None:

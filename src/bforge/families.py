@@ -6,7 +6,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from functools import reduce
+from typing import Iterator, Optional
 
 from .groups import (
     DEFAULT_ORDER_CAP,
@@ -183,26 +184,20 @@ def build_family(family: str, p: int = 0, k: int = 0, n: int = 0, cap: int = DEF
 # -- refinement series -------------------------------------------------------
 
 
-def left_normed_commutators(G: PcGroup, x: int, y: int, weight: int) -> list[int]:
+def left_normed_commutators(G: PcGroup, x: int, y: int, weight: int) -> Iterator[int]:
     """Weight-w left-normed commutators [y, x, a_3, ..., a_w], a_i in {x, y},
-    ordered lexicographically with x < y.  Their classes span the layer
-    gamma_w / gamma_{w+1}."""
+    ordered lexicographically with x < y, each formed when it is read.  Their
+    classes span the layer gamma_w / gamma_{w+1}."""
     if weight < 2:
         raise ValueError("weight must be >= 2")
     base = G.comm(y, x)
-    out = []
-    for pattern in itertools.product((x, y), repeat=weight - 2):
-        c = base
-        for g in pattern:
-            c = G.comm(c, g)
-        out.append(c)
-    return out
+    return (reduce(G.comm, pattern, base) for pattern in itertools.product((x, y), repeat=weight - 2))
 
 
 def refinement_series(pg: PaperGroup, i: int) -> NormalSeries:
     """Refine gamma_{i+1} <= gamma_i into theta-invariant normal steps of
     index p, adjoining the weight-i left-normed commutators through their
-    p-power chains.
+    p-power chains until the chain reaches gamma_i.
 
     Terms are returned descending (gamma_i first); past the class that is
     the trivial term alone, with no commutator formed.  A term that is not
@@ -220,7 +215,11 @@ def refinement_series(pg: PaperGroup, i: int) -> NormalSeries:
     top, bottom = lcs.terms[i - 1], lcs.terms[i]
     terms = [bottom]
     closure = Subgroup(G, bottom.table[:], bottom.gens)  # the current term, grown along the chain
-    for s in left_normed_commutators(G, pg.x, pg.y, i):
+    commutators = left_normed_commutators(G, pg.x, pg.y, i)
+    while len(closure) != len(top):  # closure lies in top: stop once it spans the layer
+        s = next(commutators, None)
+        if s is None:
+            raise AssertionError("left-normed commutators failed to span the layer")
         e = 0
         v = s
         while v not in closure:
@@ -229,8 +228,6 @@ def refinement_series(pg: PaperGroup, i: int) -> NormalSeries:
         for j in range(e - 1, -1, -1):
             closure.add(G.pow(s, p**j))
             terms.append(Subgroup(G, closure.table[:], closure.gens))
-    if len(terms[-1]) != len(top):  # terms[-1] lies in top
-        raise AssertionError("left-normed commutators failed to span the layer")
     terms.reverse()
     for term in terms:
         if not is_normal(G, term):

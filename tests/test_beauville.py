@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -668,18 +669,36 @@ def test_strongly_real_via_base_matches_full():
     tp = TriangleParams(3, 1)
     pg = paper_group_from_nq(triangle_quotient(tp, 4), tp)
     p1, p2 = paper_structure(pg, 1, 2)
-    ok, rep = check_strongly_real_via_base(pg.group, p1, p2, pg.theta)
-    assert ok and rep.verdict
-    assert rep.quotient_cert is not None and rep.quotient_cert.beauville
+    cert = check_strongly_real_via_base(pg.group, p1, p2, pg.theta)
+    assert cert.beauville and cert.strongly_real and cert.conjugators == (0, 0)
     full = check_strongly_real(pg.group, p1, p2, pg.theta)
-    assert bool(full.beauville and full.strongly_real) == ok
+    assert (full.beauville, full.strongly_real) == (cert.beauville, cert.strongly_real)
+    with pytest.raises(dataclasses.FrozenInstanceError):  # variants are built, never mutated
+        cert.strongly_real = False
 
 
-@pytest.mark.parametrize("p, k, cls, count", [(3, 1, 4, 8), (2, 2, 4, 9), (5, 1, 3, 5)])
-def test_quotient_strongly_real_lift_agrees_with_full(p, k, cls, count):
+@pytest.mark.parametrize("p, k, cls, count", [(3, 1, 4, 8), (2, 2, 4, 9), (5, 1, 3, 5), (3, 1, 5, 12)])
+def test_quotient_strongly_real_lift_agrees_with_full(p, k, cls, count, monkeypatch):
     # every refinement quotient of the tower gets the same (Beauville,
     # strongly real) verdict from the lift path (sigma_cap=0) as from the
-    # full sigma sets, and each reports which path decided it
+    # full sigma sets (sigma_cap=10^6, above every quotient), each reports
+    # which path decided it, and both checks return a certificate
+    import bforge.beauville as beauville
+
+    kinds = []
+
+    def spying(name):
+        check = getattr(beauville, name)
+
+        def spy(*args):
+            cert = check(*args)
+            kinds.append((name, type(cert)))
+            return cert
+
+        return spy
+
+    for name in ("check_strongly_real", "check_strongly_real_via_base"):
+        monkeypatch.setattr(beauville, name, spying(name))
     tp = TriangleParams(p, k)
     pg = paper_group_from_nq(triangle_quotient(tp, cls), tp)
     G = pg.group
@@ -690,11 +709,16 @@ def test_quotient_strongly_real_lift_agrees_with_full(p, k, cls, count):
         for term in refinement_series(pg, w).terms:
             _, proj = quotient_group(G, term)
             *lift, by_lift = quotient_strongly_real(proj, pg.theta, *pairs, 0)
-            *full, by_full = quotient_strongly_real(proj, pg.theta, *pairs, 10**4)
+            *full, by_full = quotient_strongly_real(proj, pg.theta, *pairs, 10**6)
             assert lift == full and by_lift and not by_full
             verdicts.append(tuple(lift))
     assert len(verdicts) == count
     assert (True, True) in verdicts  # the lift path certifies some quotients
+    assert sorted(set(kinds)) == [
+        ("check_strongly_real", beauville.BeauvilleCertificate),
+        ("check_strongly_real_via_base", beauville.BeauvilleCertificate),
+    ]
+    assert len(kinds) == 2 * count
 
 
 def test_lift_both_sides_on_case_ii_k2():

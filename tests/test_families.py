@@ -168,9 +168,33 @@ def test_theta_fixes_z_in_case_i(g51):
 
 def test_left_normed_commutators_examples(g31):
     G = g31.group
-    got = left_normed_commutators(G, g31.x, g31.y, 3)
+    got = list(left_normed_commutators(G, g31.x, g31.y, 3))
     t, w = g31.named["t"], g31.named["w"]
     assert got == [t, w]  # [y,x,x] = t before [y,x,y] = w
+    with pytest.raises(ValueError):  # raised at the call, before any is read
+        left_normed_commutators(G, g31.x, g31.y, 1)
+
+
+def test_refinement_forms_only_the_commutators_the_layer_needs(monkeypatch):
+    # on the p = 3 class-5 tower the chain spans the weight-5 layer before
+    # the last of its 8 left-normed commutators, and the rest are never formed
+    from bforge.nq import TriangleParams, triangle_quotient
+
+    tp = TriangleParams(3, 1)
+    pg = families.paper_group_from_nq(triangle_quotient(tp, 5), tp)
+    formed = []
+    form = families.left_normed_commutators
+
+    def spy(G, x, y, weight):
+        for c in form(G, x, y, weight):
+            formed.append(c)
+            yield c
+
+    monkeypatch.setattr(families, "left_normed_commutators", spy)
+    series = refinement_series(pg, 5)
+    assert 0 < len(formed) < 8
+    lcs = lower_central_series(pg.group)
+    assert series.orders()[0] == len(lcs.terms[4]) and series.orders()[-1] == len(lcs.terms[5])
 
 
 def test_refinement_g31_weight3(g31):
