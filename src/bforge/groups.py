@@ -19,7 +19,7 @@ import os
 import resource
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CapExceeded, HomomorphismError
@@ -36,7 +36,9 @@ DEFAULT_ORDER_CAP = 10**6
 # fills: the build grows RSS by about 510 bytes per element at order 59049
 # and 530 at order 390625.  Kept at 1 KB, since the caches come on top.
 # Large relative orders take more: 8 bytes per element in each of the
-# sum(m_i - 1) step tables, and 28 per generator (2,990 in all at 5^9, m_i = 125).
+# sum((p - 1) k_i) step tables (m_i = p^k_i; see PcGroup._build_gen_step), and
+# 28 per generator.  At 5^9 (m_i = 125) that is 884 bytes, under the floor;
+# two generators of prime order 127 take 2,584.
 BYTES_PER_ELEMENT = 1024
 
 
@@ -70,6 +72,15 @@ def memory_limit() -> int:
     return limit if soft == resource.RLIM_INFINITY else min(limit, soft)
 
 
+def _prime_power(m: int) -> tuple[int, int]:
+    """(p, k) with m = p^k, for the relative order m of a pc generator."""
+    p = prime_power_base(m)
+    k, q = 1, p
+    while q < m:
+        k, q = k + 1, q * p
+    return p, k
+
+
 def _pack(members: bytes) -> int:
     """Membership bytes, 0 or 1 per index, as a bitmask in one linear pass."""
     return int(members.translate(_MEMBER_DIGITS)[::-1], 2)
@@ -94,15 +105,17 @@ class PcGroup:
     Right-multiplication tables by generator powers back all arithmetic:
     a * b walks a through the tables of b's nonzero normal-form digits
     (walk(b), memoised for the elements used as right factors), so memory
-    stays linear in |G| at every order.  Whole-group tables (the step
-    tables, maps, conjugation tables, cosets) walk whole columns of
-    indices instead, one lookup per index and digit (_extend).  The step
+    stays linear in |G| at every order.  A generator of relative order p^k
+    has tables by g_i^(c p^j) alone, 1 <= c < p and j < k, and a digit e
+    walks one of them per nonzero base-p digit of e.  Whole-group tables
+    (the step tables, maps, conjugation tables, cosets) walk whole columns
+    of indices instead, one lookup per index and digit (_extend).  The step
     tables are built from the last generator up that way (see
     _build_gen_step); nothing is collected symbolically.  A group of order
     above cap, or whose estimated memory (BYTES_PER_ELEMENT per element, or
-    more for large relative orders) exceeds memory_limit(), is refused with
-    CapExceeded before anything is built (families and nq check base^exp
-    before that, by require_order).
+    more for relative orders p^k of a large prime p) exceeds
+    memory_limit(), is refused with CapExceeded before anything is built
+    (families and nq check base^exp before that, by require_order).
     """
 
     identity = 0
@@ -114,7 +127,9 @@ class PcGroup:
             shown = order if order.bit_length() < 14000 else f"above 2^{order.bit_length() - 1}"
             raise CapExceeded(f"group order {shown} exceeds cap {cap}")
         limit = memory_limit()
-        need = order * max(BYTES_PER_ELEMENT, 8 * sum(m - 1 for m in pres.orders) + 28 * pres.ngens + 512)
+        powers = [_prime_power(m) for m in pres.orders]
+        tables = sum((p - 1) * k for p, k in powers)
+        need = order * max(BYTES_PER_ELEMENT, 8 * tables + 28 * pres.ngens + 512)
         if need > limit:
             raise CapExceeded(
                 f"group order {order} needs about {need >> 20} MB, "
@@ -127,7 +142,7 @@ class PcGroup:
             strides[i] = strides[i + 1] * pres.orders[i + 1]
         self.presentation = pres
         self.strides = strides
-        primes = sorted({prime_power_base(m) for m in pres.orders})
+        primes = sorted({p for p, _ in powers})
         self._p_parts = [(p, prod(m for m in pres.orders if m % p)) for p in primes]  # (p, |G| / p^k)
         self.order = order
         self.prime = primes[0] if len(primes) == 1 else None
@@ -155,11 +170,18 @@ class PcGroup:
         Conjugation by g_i is the automorphism of G_{i+1} sending g_j to
         g_j [g_j, g_i], so s -> s^(g_i) and s -> t s^(g_i) are _extend
         calls on G_{i+1}'s tables, which are complete by then.  The G_i
-        table is broadcast over the digits of g_0..g_{i-1}."""
+        table is broadcast over the digits of g_0..g_{i-1}.
+
+        For m_i = p^k only the tables T[c p^j] by g_i^(c p^j), 1 <= c < p
+        and 0 <= j < k, are stored, (p - 1) k of them, each composed from
+        two before it: T[c p^j] is T[(c - 1) p^j] then T[p^j], and T[p^j]
+        is T[(p - 1) p^(j - 1)] then T[p^(j - 1)].  gen_step[i][e] is the
+        tuple of the tables of e's nonzero base-p digits, lowest first, so
+        for a prime m_i it is the one table by g_i^e."""
         pres, strides = self.presentation, self.strides
         self._walks: list[Optional[tuple[list[int], ...]]] = [None] * self.order
         self._walks[0] = ()
-        self.gen_step: list[list[Optional[list[int]]]] = [[]] * pres.ngens  # G_{i+1} reads only past i
+        self.gen_step: list[list[tuple[list[int], ...]]] = [[]] * pres.ngens  # G_{i+1} reads only past i
         for i in range(pres.ngens - 1, -1, -1):
             m, st, below = pres.orders[i], strides[i], pres.orders[i + 1:]
             conj_images = [
@@ -170,11 +192,17 @@ class PcGroup:
             tail = self.element_of_word(pres.power_tails[i])
             local = [hi + c for hi in range(st, m * st, st) for c in conj]
             local += _extend(self, below, conj_images, tail)
-            step1 = [hi + t for hi in range(0, self.order, m * st) for t in local]
-            tabs: list[Optional[list[int]]] = [None, step1]
-            for _ in range(2, m):
-                tabs.append([step1[x] for x in tabs[-1]])  # shares step1's ints
-            self.gen_step[i] = tabs
+            p = prime_power_base(m)
+            up = [hi + t for hi in range(0, self.order, m * st) for t in local]  # T[p^j], from j = 0
+            digits: list[tuple[list[int], ...]] = [()]  # gen_step[i][e] for e < p^j
+            while len(digits) < m:
+                tabs = [up]  # T[c p^j] for c = 1, ..., p - 1
+                for _ in range(2, p):
+                    tabs.append([up[x] for x in tabs[-1]])  # shares T[1]'s ints
+                digits += [w + (t,) for t in tabs for w in digits]
+                if len(digits) < m:
+                    up = [up[x] for x in tabs[-1]]
+            self.gen_step[i] = digits
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -185,14 +213,15 @@ class PcGroup:
         return _extend(self, self.presentation.orders, [self.conjugate(s, g) for s in self.strides])
 
     def walk(self, b: int) -> tuple[list[int], ...]:
-        """The step tables gen_step[i][e] of b's nonzero digits e, in order:
-        a * b is a walked through them.  Memoised per element on first use,
-        from b's leading digit and the walk of the rest of b."""
+        """The step tables gen_step[i][e] of b's nonzero digits e, in order
+        (one per nonzero base-p digit of e): a * b is a walked through them.
+        Memoised per element on first use, from b's leading digit and the
+        walk of the rest of b."""
         w = self._walks[b]
         if w is None:
-            for st, tabs in zip(self.strides, self.gen_step):
+            for st, steps in zip(self.strides, self.gen_step):
                 if b >= st:
-                    w = self._walks[b] = (tabs[b // st],) + self.walk(b % st)
+                    w = self._walks[b] = steps[b // st] + self.walk(b % st)
                     break
         return w
 
@@ -265,9 +294,17 @@ class PcGroup:
         return o
 
     def exponent(self) -> int:
+        """lcm of the orders of g_z, ..., g_{n-1} and of the indices T with
+        no digit from z on, z past the last generator that leads a nontrivial
+        commutator tail (Collector.central).  Z = <g_z, ..., g_{n-1}> is then
+        central and abelian, G = T Z, and |t s| divides lcm(|t|, |s|) for
+        commuting t and s; no conjugacy class is built."""
         if self._exponent is None:
-            _, _, reps = self.conjugacy_data()
-            self._exponent = max(self.element_order(r) for r in reps)
+            z = 1 + max((j for (j, _), w in self.presentation.comm_tails.items() if w), default=-1)
+            step = self.strides[z - 1] if z else self.order
+            orders = [self.element_order(s) for s in self.strides[z:]]
+            orders += [self.element_order(t) for t in range(0, self.order, step)]
+            self._exponent = lcm(*orders)
         return self._exponent
 
     def as_set(self) -> Subgroup:

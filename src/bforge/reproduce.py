@@ -328,20 +328,16 @@ def criterion_9(cache: GroupCache) -> CriterionResult:
     g22 = cache.get("iii_2")
     G = g22.group
     q = 2**g22.k
-    good = all(
-        G.pow(G.mul(g, h), q) == G.mul(G.pow(g, q), G.pow(h, q))
-        for g in range(G.order)
-        for h in range(G.order)
-    )
+    P = [G.pow(g, q) for g in range(G.order)]  # g -> g^q, read per pair
+    good = all(P[G.mul(g, h)] == G.mul(P[g], P[h]) for g in range(G.order) for h in range(G.order))
     ok = _check(details, ok, good, f"{G.name}: (gh)^{q} = g^{q} h^{q} for all {G.order}^2 pairs")
 
     g31 = cache.get("ii_1")
     G = g31.group
     q = 3**g31.k
     phi = frattini(G)
-    good = all(
-        G.pow(G.mul(g, h), q) == G.pow(g, q) for g in range(G.order) for h in phi.indices()
-    )
+    P = [G.pow(g, q) for g in range(G.order)]
+    good = all(P[G.mul(g, h)] == P[g] for g in range(G.order) for h in phi.indices())
     ok = _check(details, ok, good, f"{G.name}: (gh)^{q} = g^{q} for all g and h in Phi")
 
     rng = random.Random(20260808)

@@ -308,9 +308,22 @@ def bfs_hom(G, H, gens, images):
 def eager_walks(G):
     """Every element's walk (the step tables of its nonzero digits, in
     order), built for the whole group at once from the last generator up,
-    as PcGroup filled it before walks were memoised on first use."""
+    as PcGroup filled it before walks were memoised on first use.  A digit
+    e of relative order p^k is split here into its base-p digits c p^j, and
+    walks the stored table by g_i^(c p^j) of each nonzero one, lowest
+    first; only those single-digit entries of gen_step are read."""
     walks = [()]
-    for tabs in reversed(G.gen_step):
-        digit = ((),) + tuple((t,) for t in tabs[1:])
+    for m, steps in reversed(list(zip(G.presentation.orders, G.gen_step))):
+        p = brute_prime_power_base(m)
+        digit = []
+        for e in range(m):
+            split, q = [], 1
+            while e:
+                e, c = divmod(e, p)
+                if c:
+                    (table,) = steps[c * q]
+                    split.append(table)
+                q *= p
+            digit.append(tuple(split))
         walks = [d + w for d in digit for w in walks]  # index order
     return walks

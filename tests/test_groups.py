@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -84,16 +85,41 @@ def test_memory_guard(monkeypatch):
 
 
 def test_memory_guard_counts_step_tables(monkeypatch):
-    # relative order 125 means 124 step tables per generator, far above
-    # BYTES_PER_ELEMENT: 8 bytes per table slot, 28 per generator, 512 more
-    pres = make_presentation("c125sq", ["a", "b"], [125, 125])
-    need = 125**2 * (8 * 248 + 28 * 2 + 512)
-    assert need > 125**2 * BYTES_PER_ELEMENT
+    # a prime relative order p keeps p - 1 step tables per generator, so
+    # two of order 127 need 252, far above BYTES_PER_ELEMENT: 8 bytes per
+    # table slot, 28 per generator, 512 more
+    pres = make_presentation("c127sq", ["a", "b"], [127, 127])
+    need = 127**2 * (8 * 252 + 28 * 2 + 512)
+    assert need > 127**2 * BYTES_PER_ELEMENT
     monkeypatch.setattr("bforge.groups.memory_limit", lambda: need - 1)
-    with pytest.raises(CapExceeded, match="group order 15625 needs about 38 MB"):
+    with pytest.raises(CapExceeded, match="group order 16129 needs about 39 MB"):
         PcGroup(pres)
     monkeypatch.setattr("bforge.groups.memory_limit", lambda: need)
-    assert PcGroup(pres).order == 15625
+    assert PcGroup(pres).order == 16129
+    # 125 = 5^3 keeps the tables by g^(c 5^j), 1 <= c < 5 and j < 3: 24 in
+    # all, so the estimate is BYTES_PER_ELEMENT per element
+    pres = make_presentation("c125sq", ["a", "b"], [125, 125])
+    need = 125**2 * BYTES_PER_ELEMENT
+    assert 8 * 24 + 28 * 2 + 512 < BYTES_PER_ELEMENT
+    monkeypatch.setattr("bforge.groups.memory_limit", lambda: need - 1)
+    with pytest.raises(CapExceeded, match="group order 15625 needs about 15 MB"):
+        PcGroup(pres)
+    monkeypatch.setattr("bforge.groups.memory_limit", lambda: need)
+    G = PcGroup(pres)
+    assert len({id(t) for steps in G.gen_step for walk in steps for t in walk}) == 24
+
+
+def test_memory_guard_estimates_case_i_5_3_without_building(monkeypatch):
+    # relative orders 125 at order 5^9: the estimate alone, about 2 GB, is
+    # read from the refusal; nothing is built
+    def fail(self):
+        raise AssertionError("built a group the memory guard should refuse")
+
+    monkeypatch.setattr(PcGroup, "_build_gen_step", fail)
+    monkeypatch.setattr("bforge.groups.memory_limit", lambda: 1 << 20)
+    with pytest.raises(CapExceeded, match=r"group order 1953125 needs about (\d+) MB") as err:
+        build_case_i(5, 3, cap=2 * 10**6)
+    assert int(re.search(r"needs about (\d+) MB", str(err.value)).group(1)) <= 2100
 
 
 def test_associativity_exhaustive_small(c5c5):
@@ -177,7 +203,38 @@ def test_gen_step_matches_collection(g51, g22, neg1):
         for i in range(G.presentation.ngens):
             gi = coll.gen_vec(i)
             want = [G.index_of(coll.mul(G.vec(a), gi)) for a in range(G.order)]
-            assert G.gen_step[i][1] == want
+            assert G.gen_step[i][1] == (want,)
+
+
+def test_stored_step_tables_match_collection_composite_orders():
+    # relative orders 8, 9, 4, 3 and 25: every stored table, by g_i^(c p^j)
+    # (a walk of one step), against collecting vec(a) * g_i^e, then walks of
+    # sampled right factors, which compose stored tables, against products
+    groups = [build_abelian(8).group, build_abelian(9).group, build_case_iii(2).group, build_case_ii(1).group]
+    groups.append(build_case_i(5, 2).group)
+    counts = []
+    for G in groups:
+        coll, orders = Collector(G.presentation), G.presentation.orders
+        rng = random.Random(3)
+        sample = range(G.order) if G.order <= 2000 else rng.sample(range(G.order), 2000)
+        stored = 0  # (p - 1) k per generator: 6, 8, 7, 10 and 24
+        for i, m in enumerate(orders):
+            for e, walk in enumerate(G.gen_step[i]):
+                if len(walk) != 1:
+                    continue
+                stored += 1
+                ge = tuple(e if j == i else 0 for j in range(len(orders)))
+                (table,) = walk
+                assert all(table[a] == G.index_of(coll.mul(G.vec(a), ge)) for a in sample)
+        assert stored == len({id(t) for steps in G.gen_step for walk in steps for t in walk})
+        counts.append(stored)
+        for _ in range(2000):
+            a, b = rng.randrange(G.order), rng.randrange(G.order)
+            x = a
+            for step in G.walk(b):
+                x = step[x]
+            assert x == G.index_of(coll.mul(G.vec(a), G.vec(b)))
+    assert counts == [6, 8, 7, 10, 24]
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +248,7 @@ def test_walk_matches_eager_build(g51, tower_groups):
     # the memoised walk of b against every walk built at once, as the
     # group used to hold them: the same step tables, in the same order
     cases = [(g51.group, None), (build_abelian(12).group, None), (tower_groups["3_1_c5"], None)]
+    cases += [(build_abelian(8).group, None), (build_case_iii(2).group, None), (build_case_i(5, 2).group, 3000)]
     cases.append((tower_groups["5_1_c4"], 3000))
     for G, sample in cases:
         ref = eager_walks(G)
@@ -198,6 +256,18 @@ def test_walk_matches_eager_build(g51, tower_groups):
         for b in elements:
             assert [id(t) for t in G.walk(b)] == [id(t) for t in ref[b]]
     assert tower_groups["5_1_c4"].order == 5**8
+
+
+def test_exponent_matches_class_reps(tower_groups):
+    # the exponent from T and the central generators against the largest
+    # order of a conjugacy class rep, on the family groups, the CI towers
+    # and the mixed-prime C_30 x C_30
+    groups = [build_case_i(5, 1).group, build_case_i(7, 1).group, build_case_i(5, 2).group]
+    groups += [build_case_ii(1).group, build_case_ii(2).group, build_case_iii(2).group, build_case_iii(3).group]
+    groups += [build_negative(1).group, *tower_groups.values(), build_abelian(30).group]
+    for G in groups:
+        _, _, reps = G.conjugacy_data()
+        assert G.exponent() == max(G.element_order(r) for r in reps), G.name
 
 
 def test_extend_from_start_is_left_multiplication(g51, neg1, g22, tower_groups):
